@@ -63,8 +63,8 @@ const (
 )
 
 // ImageCache shares device images and work-steal probe results across runs.
-// A nil *ImageCache is valid and disables all caching; the zero value is
-// ready to use. Safe for concurrent use.
+// A nil *ImageCache is valid and disables all caching; NewImageCache
+// builds a working one. Safe for concurrent use.
 //
 // With SetStore, the cache gains a second, persistent level: an image miss
 // consults the store before building (a decoded blob is as good as a
@@ -74,10 +74,11 @@ const (
 // discipline spans both levels, so concurrent requesters for one key share
 // one load-or-build regardless of where it is satisfied from.
 type ImageCache struct {
-	mu     sync.Mutex
-	images boundedCache[imageKey, *core.Image]
-	probes boundedCache[probeKey, *stats.Result]
+	images *runner.Cache[imageKey, *core.Image]
+	probes *runner.Cache[probeKey, *stats.Result]
 
+	// mu guards the store level below.
+	mu      sync.Mutex
 	store   imagestore.Store
 	storeWG sync.WaitGroup
 	stStats struct{ hits, misses, puts, errors int64 }
@@ -109,11 +110,12 @@ func (c *ImageCache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
+	im, pr := c.images.Stats(), c.probes.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		ImageHits: c.images.hits, ImageMisses: c.images.misses, ImageEvictions: c.images.evictions,
-		ProbeHits: c.probes.hits, ProbeMisses: c.probes.misses, ProbeEvictions: c.probes.evictions,
+		ImageHits: im.Hits, ImageMisses: im.Misses, ImageEvictions: im.Evictions,
+		ProbeHits: pr.Hits, ProbeMisses: pr.Misses, ProbeEvictions: pr.Evictions,
 		StoreHits: c.stStats.hits, StoreMisses: c.stStats.misses,
 		StorePuts: c.stStats.puts, StoreErrors: c.stStats.errors,
 		StoreDegraded: c.stDown,
@@ -142,101 +144,13 @@ func (c *ImageCache) FlushStore() {
 	c.storeWG.Wait()
 }
 
-// boundedCache is a size-bounded single-flight map: entries and their
-// insertion order, evicted oldest-first past the limit. Both caches of an
-// ImageCache share one discipline (and one mutex, held by runner.Await).
-// The counters are guarded by that same mutex: a hit is a get that found a
-// flight (finished or shared in-flight), a miss is an insertion.
-type boundedCache[K comparable, V any] struct {
-	entries map[K]*runner.Flight[V]
-	order   []K
-
-	hits, misses, evictions int64
-}
-
-// await runs the single-flight protocol for key over this cache with the
-// given capacity. It must be called with the ImageCache's mutex free; mu
-// guards every access to the cache's maps.
-func (bc *boundedCache[K, V]) await(ctx context.Context, mu *sync.Mutex, key K, limit int,
-	compute func(context.Context) (V, error)) (V, error) {
-	// mine is the flight this await inserted: its cancellation eviction
-	// (set(nil)) must not clobber a newer flight another goroutine cached
-	// under the same key after capacity eviction removed mine.
-	var mine *runner.Flight[V]
-	return runner.Await(ctx, mu,
-		func() *runner.Flight[V] {
-			f := bc.entries[key]
-			if f != nil && f != mine {
-				bc.hits++
-			}
-			return f
-		},
-		func(f *runner.Flight[V]) {
-			if f == nil {
-				if bc.entries[key] != mine {
-					return
-				}
-				delete(bc.entries, key)
-				bc.order = dropKey(bc.order, key)
-				return
-			}
-			mine = f
-			bc.misses++
-			if bc.entries == nil {
-				bc.entries = map[K]*runner.Flight[V]{}
-			}
-			// Await inserts only into an empty slot (checked under this
-			// same lock), and eviction keeps order and entries in sync, so
-			// key is never already present: plain append stays
-			// duplicate-free.
-			bc.entries[key] = f
-			bc.order = append(bc.order, key)
-			bc.evict(limit, key)
-		},
-		compute)
-}
-
-// evict enforces the capacity bound, oldest-insertion-first, skipping the
-// just-inserted key and any flight still being computed: evicting an
-// in-flight entry would break single-flight — its waiters keep waiting on
-// the orphaned flight while a new requester starts a duplicate build — so
-// the cache instead exceeds its bound transiently while more than limit
-// builds are in the air.
-func (bc *boundedCache[K, V]) evict(limit int, keep K) {
-	for len(bc.entries) > limit {
-		victim := -1
-		for i, k := range bc.order {
-			if k == keep || !bc.entries[k].Done() {
-				continue
-			}
-			victim = i
-			break
-		}
-		if victim < 0 {
-			return // everything evictable is in flight; retry on next insert
-		}
-		delete(bc.entries, bc.order[victim])
-		bc.order = append(bc.order[:victim], bc.order[victim+1:]...)
-		bc.evictions++
-	}
-}
-
-// dropKey removes the first occurrence of key from an insertion-order
-// list. It runs only on cancellation eviction (set(nil)), keeping the
-// order list in sync with the map so capacity eviction (oldest first) can
-// never drop a key that was re-inserted more recently, and
-// cancellation-evicted keys do not linger.
-func dropKey[K comparable](order []K, key K) []K {
-	for i, k := range order {
-		if k == key {
-			return append(order[:i], order[i+1:]...)
-		}
-	}
-	return order
-}
-
 // NewImageCache returns an empty cache.
-func NewImageCache() *ImageCache { return &ImageCache{} }
+func NewImageCache() *ImageCache {
+	return &ImageCache{
+		images: runner.NewCache[imageKey, *core.Image](maxCachedImages),
+		probes: runner.NewCache[probeKey, *stats.Result](maxCachedProbes),
+	}
+}
 
 // bundleID returns the bundle's cache identity, or "" when the bundle
 // carries no content key (hand-assembled): such bundles are never cached,
@@ -263,7 +177,7 @@ func (c *ImageCache) image(ctx context.Context, cfg core.Config, b *workload.Bun
 		return buildImage(ctx, c, cfg, b, stage)
 	}
 	key := imageKey{build: cfg.BuildKey(), bundle: id, stage: stage}
-	return c.images.await(ctx, &c.mu, key, maxCachedImages,
+	return c.images.Await(ctx, key,
 		func(ctx context.Context) (*core.Image, error) { return c.loadOrBuild(ctx, key, cfg, b, stage) })
 }
 
@@ -413,5 +327,5 @@ func (c *ImageCache) Probe(ctx context.Context, cfg core.Config, b *workload.Bun
 		return run(ctx)
 	}
 	key := probeKey{cfg: cfg, bundle: id, inst: inst}
-	return c.probes.await(ctx, &c.mu, key, maxCachedProbes, run)
+	return c.probes.Await(ctx, key, run)
 }

@@ -164,9 +164,7 @@ func TestProbeCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.mu.Lock()
-	n := len(c.probes.entries)
-	c.mu.Unlock()
+	n := c.probes.Stats().Len
 	if n > maxCachedProbes {
 		t.Errorf("probe cache grew to %d entries, cap %d", n, maxCachedProbes)
 	}

@@ -436,27 +436,23 @@ func runRoundRobin(ctx context.Context, b *workload.Bundle, cards []card, fab *f
 	if err != nil {
 		return nil, err
 	}
-	if deaths := plan.DeathTimes(len(cards)); deaths != nil {
-		return recoverRoundRobin(ctx, b, cards, fab, o, plan, deaths, assigned, offsets, results)
-	}
-	return collectParts(results, offsets, cards, fab, nil), nil
+	// Card deaths (none on a healthy run) are replayed over the completed
+	// dispatch; with no deaths this only assembles the parts.
+	return recoverRoundRobin(ctx, b, cards, fab, o, plan, assigned, offsets, results)
 }
 
 // collectParts labels per-card results with their owning switch. Idle
 // cards (nil results) are dropped on the classic unlabeled path, but kept
 // as empty labeled parts under an explicit topology so per-switch card
 // counts — and hence per-switch utilization denominators — stay honest.
-// faultsBy, when non-nil, attaches each card's fault records to its part;
-// a dead card whose whole result was lost still surfaces its record
-// through an otherwise-empty part.
+// faultsBy attaches each card's fault records to its part; a dead card
+// whose whole result was lost still surfaces its record through an
+// otherwise-empty part.
 func collectParts(results []*stats.Result, offsets []units.Duration, cards []card, fab *fabric, faultsBy [][]stats.FaultRecord) []stats.Part {
 	var parts []stats.Part
 	for c, res := range results {
 		label := fab.label(cards[c].sw)
-		var fr []stats.FaultRecord
-		if faultsBy != nil {
-			fr = faultsBy[c]
-		}
+		fr := faultsBy[c]
 		if res != nil {
 			parts = append(parts, stats.Part{Res: res, Offset: offsets[c], Switch: label, Faults: fr})
 		} else if label != "" || len(fr) > 0 {
@@ -475,12 +471,12 @@ func collectParts(results []*stats.Result, offsets []units.Duration, cards []car
 // inside a card. A homogeneous topology has one class, so it probes
 // exactly the classic per-instance set.
 //
-// Claim loop: in simulated time, the card with the earliest estimated free
-// instant claims the next queued instance, paying the dispatch-fabric
-// download before its estimated run. Because a claim's arrival includes
-// the owning switch's queueing delay, a congested switch pushes its cards'
-// free instants out and the loop naturally routes later claims to the
-// other subtree. The loop fixes only the instance-to-card mapping and each
+// Claim loop (claimWithDeaths): in simulated time, the card with the
+// earliest estimated free instant claims the next queued instance, paying
+// the dispatch-fabric download before its estimated run. Because a
+// claim's arrival includes the owning switch's queueing delay, a
+// congested switch pushes its cards' free instants out and the loop
+// naturally routes later claims to the other subtree. The loop fixes only the instance-to-card mapping and each
 // card's first-dispatch time; the cards then execute their claimed sets as
 // ordinary self-governed device simulations, so a card's internal governor
 // still overlaps its instances. Both phases are deterministic regardless
@@ -524,33 +520,9 @@ func runWorkSteal(ctx context.Context, b *workload.Bundle, cards []card, classCf
 		return nil, err
 	}
 
-	free := make([]units.Duration, len(cards))
-	claims := make([][]workload.App, len(cards))
-	starts := make([]units.Duration, len(cards))
-	var faultsBy [][]stats.FaultRecord
-	if deaths := plan.DeathTimes(len(cards)); deaths != nil {
-		var err error
-		faultsBy, err = claimWithDeaths(b, cards, fab, plan, deaths, instances, probes, free, claims, starts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for i, inst := range instances {
-			best := 0
-			for c := 1; c < len(cards); c++ {
-				if free[c] < free[best] {
-					best = c
-				}
-			}
-			// The claim order visits non-decreasing free instants, so the
-			// fabric's pipes see FIFO request times as their model requires.
-			arrive := fab.dispatch(free[best], cards[best].sw, offloadBytes(instances[i:i+1]))
-			if len(claims[best]) == 0 {
-				starts[best] = arrive
-			}
-			claims[best] = append(claims[best], inst)
-			free[best] = arrive + probes[cards[best].class*n+i].Makespan
-		}
+	claims, starts, faultsBy, err := claimWithDeaths(b, cards, fab, plan, instances, probes)
+	if err != nil {
+		return nil, err
 	}
 
 	results, err := runner.Collect(ctx, runner.New(o.Workers), len(cards),

@@ -34,6 +34,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -100,26 +101,31 @@ func withWearRecord(res *stats.Result, plan *faults.Plan) *stats.Result {
 	return res
 }
 
-// claimWithDeaths is the work-steal claim loop under a plan with card
-// deaths. Instead of walking the instance queue in order, it repeatedly
-// dispatches the (pending instance, live card) pair with the earliest
-// request time — max(card free instant, instance's detection hold) —
-// which keeps fabric request times non-decreasing even as deaths
-// reshuffle the queue. A claim whose estimated completion overruns its
-// card's death is the card's one lost in-flight dispatch: the card is
-// marked dead, the progress since the claim's arrival is charged as
-// lost work, and the instance re-enters the queue, dispatchable only
-// after the host detects the death. Ties pick the lowest queue position,
-// then the lowest card id, so the schedule is deterministic.
+// claimWithDeaths is the work-steal claim loop, healthy or not. It
+// repeatedly dispatches the (pending instance, live card) pair with the
+// earliest request time — max(card free instant, instance's detection
+// hold) — which keeps fabric request times non-decreasing even as deaths
+// reshuffle the queue. Ties pick the lowest queue position, then the
+// lowest card id, so the schedule is deterministic (with no deaths, the
+// queue is claimed in order by the earliest-free card). A claim whose
+// estimated completion overruns its card's death is the card's one lost
+// in-flight dispatch: the card is marked dead, the progress since the
+// claim's arrival is charged as lost work, and the instance re-enters the
+// queue, dispatchable only after the host detects the death.
 //
-// free, claims, and starts are the caller's (zeroed) per-card tables,
-// filled in place; the returned slice carries each dead card's fault
-// record, indexed by card.
+// It returns each card's claimed instances and first-arrival instant,
+// and each dead card's fault record, all indexed by card.
 func claimWithDeaths(b *workload.Bundle, cards []card, fab *fabric, plan *faults.Plan,
-	deaths []units.Duration, instances []workload.App, probes []*stats.Result,
-	free []units.Duration, claims [][]workload.App, starts []units.Duration) ([][]stats.FaultRecord, error) {
+	instances []workload.App, probes []*stats.Result) (claims [][]workload.App, starts []units.Duration, records [][]stats.FaultRecord, err error) {
 
 	n := len(instances)
+	deaths := plan.DeathTimes(len(cards))
+	if deaths == nil { // a healthy run: nobody dies
+		deaths = slices.Repeat([]units.Duration{faults.NoDeath}, len(cards))
+	}
+	free := make([]units.Duration, len(cards))
+	claims = make([][]workload.App, len(cards))
+	starts = make([]units.Duration, len(cards))
 	detect := plan.DetectLatency()
 	detectAt := make([]units.Duration, len(cards))
 	for c, t := range deaths {
@@ -163,7 +169,7 @@ func claimWithDeaths(b *workload.Bundle, cards []card, fab *fabric, plan *faults
 		if bq < 0 {
 			// Unreachable after ValidateFor (a survivor is always
 			// eligible), but a defensive error beats a livelock.
-			return nil, fmt.Errorf("cluster: %s: fault plan leaves no live card to claim the queue", b.Name)
+			return nil, nil, nil, fmt.Errorf("cluster: %s: fault plan leaves no live card to claim the queue", b.Name)
 		}
 		it := queue[bq]
 		queue = append(queue[:bq], queue[bq+1:]...)
@@ -191,7 +197,7 @@ func claimWithDeaths(b *workload.Bundle, cards []card, fab *fabric, plan *faults
 		}
 	}
 
-	records := make([][]stats.FaultRecord, len(cards))
+	records = make([][]stats.FaultRecord, len(cards))
 	for c, t := range deaths {
 		if t == faults.NoDeath {
 			continue
@@ -201,7 +207,7 @@ func claimWithDeaths(b *workload.Bundle, cards []card, fab *fabric, plan *faults
 			At: t, Detect: detect, Recovery: recov[c], Lost: lost[c], Redone: redone[c],
 		})
 	}
-	return records, nil
+	return claims, starts, records, nil
 }
 
 // rrShard is one round-robin dispatch unit: an application subset bound
@@ -215,15 +221,17 @@ type rrShard struct {
 }
 
 // recoverRoundRobin replays the plan's card deaths over a completed
-// round-robin dispatch: deaths are processed in time order, each one
-// discards the dead card's unfinished shards whole, and the lost
-// applications are re-sharded across the survivors (weighted-deficit,
-// like the initial assignment), dispatched at detection time, and run
-// as fresh device passes that serialize after each survivor's own work.
+// round-robin dispatch and assembles its parts: deaths are processed in
+// time order, each one discards the dead card's unfinished shards whole,
+// and the lost applications are re-sharded across the survivors
+// (weighted-deficit, like the initial assignment), dispatched at
+// detection time, and run as fresh device passes that serialize after
+// each survivor's own work. A healthy run has no deaths to replay.
 func recoverRoundRobin(ctx context.Context, b *workload.Bundle, cards []card, fab *fabric,
-	o Options, plan *faults.Plan, deaths []units.Duration,
+	o Options, plan *faults.Plan,
 	assigned [][]int, offsets []units.Duration, results []*stats.Result) ([]stats.Part, error) {
 
+	deaths := plan.DeathTimes(len(cards))
 	detect := plan.DetectLatency()
 	var shards []*rrShard
 	busy := make([]units.Duration, len(cards)) // each card's last pass end

@@ -116,67 +116,6 @@ func TestCorruptStoreFallsBack(t *testing.T) {
 	}
 }
 
-// TestEvictionSkipsInFlight pins the eviction fix: capacity pressure must
-// never evict a flight that is still computing — its waiters would be
-// orphaned and a new requester would duplicate the build — even if that
-// means transiently exceeding the bound.
-func TestEvictionSkipsInFlight(t *testing.T) {
-	var mu sync.Mutex
-	bc := &boundedCache[int, int]{}
-	ctx := context.Background()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, err := bc.await(ctx, &mu, 1, 1, func(context.Context) (int, error) {
-			close(started)
-			<-release
-			return 100, nil
-		})
-		done <- err
-	}()
-	<-started
-
-	// A second key at limit 1: the oldest entry is in flight, so it must
-	// survive and the cache must run over its bound instead.
-	if _, err := bc.await(ctx, &mu, 2, 1, func(context.Context) (int, error) { return 200, nil }); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	_, kept := bc.entries[1]
-	size, evictions := len(bc.entries), bc.evictions
-	mu.Unlock()
-	if !kept {
-		t.Fatal("in-flight entry was evicted")
-	}
-	if size != 2 || evictions != 0 {
-		t.Fatalf("size %d evictions %d, want 2 and 0 (bound exceeded, nothing dropped)", size, evictions)
-	}
-
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	// The survivor serves its waiters from cache.
-	v, err := bc.await(ctx, &mu, 1, 1, func(context.Context) (int, error) {
-		t.Error("recompute after spurious eviction")
-		return -1, nil
-	})
-	if err != nil || v != 100 {
-		t.Fatalf("await(1) = %d, %v; want 100", v, err)
-	}
-	// With every flight settled, the next insertion restores the bound.
-	if _, err := bc.await(ctx, &mu, 3, 1, func(context.Context) (int, error) { return 300, nil }); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	size, evictions = len(bc.entries), bc.evictions
-	mu.Unlock()
-	if size != 1 || evictions != 2 {
-		t.Fatalf("size %d evictions %d after settle, want 1 and 2", size, evictions)
-	}
-}
-
 // TestCacheStatsCounters pins the memory-level hit/miss accounting.
 func TestCacheStatsCounters(t *testing.T) {
 	ctx := context.Background()

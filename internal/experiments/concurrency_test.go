@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -147,11 +148,15 @@ func TestFig3PointsSharedAcrossCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := s.cells.Stats()
 	p2, err := s.Fig3Points(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p1) == 0 || &p1[0] != &p2[0] {
-		t.Error("Fig3Points recomputed instead of serving the cached sweep")
+	if after := s.cells.Stats(); after.Misses != before.Misses {
+		t.Errorf("second sweep simulated %d cells, want 0", after.Misses-before.Misses)
+	}
+	if len(p1) == 0 || !reflect.DeepEqual(p1, p2) {
+		t.Error("second sweep assembled different points")
 	}
 }

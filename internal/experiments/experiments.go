@@ -4,9 +4,9 @@
 // every reported row has exactly one source.
 //
 // A Suite caches the (workload, system) device runs the figures share.
-// The cache is safe for concurrent use and single-flight: when figures
-// race for the same cell, exactly one simulation runs and the rest wait
-// for its result. Prewarm fills the cache through the internal/runner
+// The cache is bounded, safe for concurrent use, and single-flight: when
+// figures race for the same cell, exactly one simulation runs and the rest
+// wait for its result. Prewarm fills the cache through the internal/runner
 // worker pool, which is how cmd/abacus-repro parallelizes a full
 // reproduction across cores while keeping output byte-identical to a
 // sequential run.
@@ -127,19 +127,28 @@ func (j Job) bundle(o workload.Options) (*workload.Bundle, error) {
 	return nil, fmt.Errorf("experiments: unknown job kind %d", j.Kind)
 }
 
-// The Suite's caches are single-flight slots driven by runner.Await — the
-// same protocol the cluster image/probe caches use: the first requester
-// computes, everyone else waits, and a flight that failed only because its
-// starter was cancelled is evicted for live-context waiters to retry.
-type flight[T any] = runner.Flight[T]
+// cellKey is everything that shapes a cell's bytes: the workload scale,
+// the fault plan's canonical text for a KindFault job ("" for every other
+// kind), and the job. MaxDevices only chooses which cells a render lists,
+// never what one computes, so it stays out of the key.
+type cellKey struct {
+	scale int64
+	plan  string
+	job   Job
+}
+
+// maxCells bounds the cell cache: a full evaluation is at most ~256 cells
+// of a few KB each, so it holds many (scale, fault plan) combinations.
+const maxCells = 4096
 
 // Suite runs and caches the evaluation's device runs at one scale. Scale
 // divides the Table 2 input sizes: 1 reproduces paper-scale data volumes,
 // larger values shrink runs for tests and benches.
 //
 // Methods may be called from many goroutines; each distinct cell is
-// simulated exactly once. Workers bounds how many simulations Prewarm and
-// the Fig. 3 sweep run concurrently (0 means runtime.GOMAXPROCS(0)).
+// simulated once while it stays cached. Workers bounds how many
+// simulations Prewarm and the Fig. 3 sweep run concurrently (0 means
+// runtime.GOMAXPROCS(0)). Changing a knob never aliases a cached cell.
 type Suite struct {
 	Scale   int64
 	Workers int
@@ -148,15 +157,14 @@ type Suite struct {
 	// -devices so the prewarmed cells match the rendered columns.
 	MaxDevices int
 
-	mu    sync.Mutex
-	cells map[Job]*flight[*stats.Result]
-	fig3  *flight[[]Fig3Point]
-	fig15 *flight[map[string]*stats.Result]
+	// mu guards faults: the fault-injection scenarios the "faults"
+	// experiment runs, by name. Nil means DefaultFaultScenarios;
+	// SetFaultScenarios replaces them (abacus-repro does when -faults
+	// names a plan file).
+	mu     sync.Mutex
+	faults []scenario
 
-	// faults are the fault-injection scenarios the "faults" experiment
-	// runs, by name. Nil means DefaultFaultScenarios; SetFaultScenarios
-	// replaces them (abacus-repro does when -faults names a plan file).
-	faults []FaultScenario
+	cells *runner.Cache[cellKey, *stats.Result] // shared by every view (With)
 
 	// images shares formatted/populated/offloaded device snapshots and
 	// work-steal probe runs across every cell of the suite: cells fork a
@@ -172,13 +180,10 @@ func NewSuite(scale int64) *Suite {
 	return NewSuiteWithImages(scale, nil)
 }
 
-// NewSuiteWithImages returns an empty suite at the given scale sharing a
-// caller-owned image/probe cache instead of a private one. A long-lived
-// process serving many suites — one per (scale, devices, fault-scenario)
-// combination — hands every suite the same cache, so a repeat job forks
-// warm device images even when its cell results were built by another
-// suite. A nil cache keeps the suite self-contained, exactly like
-// NewSuite.
+// NewSuiteWithImages returns a suite at the given scale with a fresh cell
+// cache, sharing a caller-owned image/probe cache instead of a private
+// one, so its cells fork warm device images other suites built. A nil cache
+// keeps the suite self-contained, exactly like NewSuite.
 func NewSuiteWithImages(scale int64, images *cluster.ImageCache) *Suite {
 	if scale < 1 {
 		scale = 1
@@ -188,8 +193,26 @@ func NewSuiteWithImages(scale int64, images *cluster.ImageCache) *Suite {
 	}
 	return &Suite{
 		Scale:  scale,
-		cells:  map[Job]*flight[*stats.Result]{},
+		cells:  runner.NewCache[cellKey, *stats.Result](maxCells),
 		images: images,
+	}
+}
+
+// With returns a view of s at another scale, device cap, and fault
+// scenario list (nil means DefaultFaultScenarios) that shares s's cell
+// and image caches and Workers, so knob combinations reuse the cells
+// they have in common.
+func (s *Suite) With(scale int64, maxDevices int, scenarios []FaultScenario) *Suite {
+	if scale < 1 {
+		scale = 1
+	}
+	return &Suite{
+		Scale:      scale,
+		Workers:    s.Workers,
+		MaxDevices: maxDevices,
+		faults:     fingerprint(scenarios),
+		cells:      s.cells,
+		images:     s.images,
 	}
 }
 
@@ -207,33 +230,63 @@ func (s *Suite) ImageStats() cluster.CacheStats { return s.images.Stats() }
 func (s *Suite) FlushImages() { s.images.FlushStore() }
 
 // SetFaultScenarios replaces the suite's fault-injection scenarios (nil
-// restores DefaultFaultScenarios). Call it before the first Run or
-// Prewarm: the scenario name is part of the cache key, so swapping a
-// name's plan afterwards would alias stale cells.
+// restores DefaultFaultScenarios). A fault cell's key carries its plan's
+// canonical text, so a later Run under a new plan simulates that plan
+// even when the scenario name is unchanged.
 func (s *Suite) SetFaultScenarios(scs []FaultScenario) {
+	fp := fingerprint(scs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.faults = scs
+	s.faults = fp
 }
 
+// scenario is a FaultScenario with its plan's canonical text, the
+// fingerprint its cells are keyed by.
+type scenario struct {
+	FaultScenario
+	fp string
+}
+
+// fingerprint pairs each scenario with its plan's canonical text (a nil
+// plan runs as the zero plan). Nil in, nil out.
+func fingerprint(scs []FaultScenario) []scenario {
+	if scs == nil {
+		return nil
+	}
+	out := make([]scenario, len(scs))
+	for i, sc := range scs {
+		p := sc.Plan
+		if p == nil {
+			p = &faults.Plan{}
+		}
+		out[i] = scenario{FaultScenario: sc, fp: p.String()}
+	}
+	return out
+}
+
+// defaultScenarios is DefaultFaultScenarios, fingerprinted once.
+var defaultScenarios = sync.OnceValue(func() []scenario {
+	return fingerprint(DefaultFaultScenarios())
+})
+
 // faultScenarios returns the active scenario list.
-func (s *Suite) faultScenarios() []FaultScenario {
+func (s *Suite) faultScenarios() []scenario {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.faults != nil {
 		return s.faults
 	}
-	return DefaultFaultScenarios()
+	return defaultScenarios()
 }
 
-// faultPlan resolves a scenario name to its plan.
-func (s *Suite) faultPlan(name string) (*faults.Plan, error) {
+// scenario resolves a scenario name to its plan and fingerprint.
+func (s *Suite) scenario(name string) (scenario, error) {
 	for _, sc := range s.faultScenarios() {
 		if sc.Name == name {
-			return sc.Plan, nil
+			return sc, nil
 		}
 	}
-	return nil, fmt.Errorf("experiments: unknown fault scenario %q", name)
+	return scenario{}, fmt.Errorf("experiments: unknown fault scenario %q", name)
 }
 
 func (s *Suite) opts() workload.Options {
@@ -285,19 +338,21 @@ func RunTopology(ctx context.Context, sys core.System, topo cluster.Topology, po
 // because its context was cancelled is evicted, so a later call with a
 // live context retries instead of replaying the stale cancellation.
 func (s *Suite) Run(ctx context.Context, j Job) (*stats.Result, error) {
-	return runner.Await(ctx, &s.mu,
-		func() *flight[*stats.Result] { return s.cells[j] },
-		func(f *flight[*stats.Result]) {
-			if f == nil {
-				delete(s.cells, j)
-			} else {
-				s.cells[j] = f
-			}
-		},
-		func(ctx context.Context) (*stats.Result, error) { return s.simulate(ctx, j) })
+	key := cellKey{scale: s.Scale, job: j}
+	var plan *faults.Plan
+	if j.Kind == KindFault {
+		sc, err := s.scenario(j.Fault)
+		if err != nil {
+			return nil, err
+		}
+		key.plan, plan = sc.fp, sc.Plan
+	}
+	return s.cells.Await(ctx, key, func(ctx context.Context) (*stats.Result, error) {
+		return s.simulate(ctx, j, plan)
+	})
 }
 
-func (s *Suite) simulate(ctx context.Context, j Job) (*stats.Result, error) {
+func (s *Suite) simulate(ctx context.Context, j Job, plan *faults.Plan) (*stats.Result, error) {
 	if j.Kind == KindCluster && j.Devices <= 1 {
 		// A one-card cluster is the plain single-device run: share the
 		// equivalent homogeneous/heterogeneous cell instead of simulating
@@ -361,10 +416,6 @@ func (s *Suite) simulate(ctx context.Context, j Job) (*stats.Result, error) {
 		cfg := core.DefaultConfig(j.Sys)
 		return cluster.Run(ctx, cfg, b, cluster.Options{Policy: j.Policy, Workers: 1, Topology: topo, Images: s.images})
 	case KindFault:
-		plan, err := s.faultPlan(j.Fault)
-		if err != nil {
-			return nil, err
-		}
 		// Workers: 1 for the same reason as the KindCluster case above.
 		cfg := core.DefaultConfig(j.Sys)
 		cfg.Devices = j.Devices
@@ -489,8 +540,8 @@ func topologyCells() []Job {
 }
 
 // FaultScenario names one deterministic fault plan the fault-injection
-// study dispatches a cluster run under. The name is the cache key and
-// the table row label.
+// study dispatches a cluster run under. The name is the table row label;
+// the plan's canonical text keys the scenario's cells.
 type FaultScenario struct {
 	Name string
 	Plan *faults.Plan
@@ -536,7 +587,7 @@ func (s *Suite) faultDevices() int {
 
 // faultCells enumerates the study in (scenario, policy) order — the
 // order the render's rows consume.
-func faultCells(scs []FaultScenario, devices int) []Job {
+func faultCells(scs []scenario, devices int) []Job {
 	var out []Job
 	for _, sc := range scs {
 		for _, p := range cluster.Policies {
@@ -643,7 +694,7 @@ func Cells(id string) []Job {
 	case "topology":
 		return topologyCells()
 	case "faults":
-		return faultCells(DefaultFaultScenarios(), FaultDevices)
+		return faultCells(defaultScenarios(), FaultDevices)
 	}
 	return nil
 }
@@ -751,38 +802,33 @@ func Fig3Sensitivity(ctx context.Context, scale int64, workers int) ([]Fig3Point
 	return s.Fig3Points(ctx)
 }
 
-// Fig3Points returns the suite-cached sensitivity sweep, computing it on
-// first request: Fig. 3b and 3c (and racing callers) share one sweep. The
-// sweep's device runs are ordinary cells — a Prewarm that included fig3b's
-// cells makes this pure assembly.
+// Fig3Points returns the sensitivity sweep. Its device runs are ordinary
+// cells, prewarmed through the pool and then assembled, so Fig. 3b and 3c
+// (and racing callers) share one set of simulations, and a Prewarm that
+// included fig3b's cells makes this pure assembly.
 func (s *Suite) Fig3Points(ctx context.Context) ([]Fig3Point, error) {
-	return runner.Await(ctx, &s.mu,
-		func() *flight[[]Fig3Point] { return s.fig3 },
-		func(f *flight[[]Fig3Point]) { s.fig3 = f },
-		func(ctx context.Context) ([]Fig3Point, error) {
-			jobs := sensitivityCells()
-			if err := s.Prewarm(ctx, jobs); err != nil {
-				return nil, err
-			}
-			nominal, err := workload.SensitivityNominal(s.opts())
-			if err != nil {
-				return nil, err
-			}
-			points := make([]Fig3Point, 0, len(jobs))
-			for _, j := range jobs {
-				res, err := s.Run(ctx, j)
-				if err != nil {
-					return nil, err
-				}
-				points = append(points, Fig3Point{
-					Cores:      j.Cores,
-					SerialPct:  j.Pct,
-					Throughput: float64(nominal) / units.Seconds(res.Makespan) / 1e9,
-					Util:       res.WorkerUtil,
-				})
-			}
-			return points, nil
+	jobs := sensitivityCells()
+	if err := s.Prewarm(ctx, jobs); err != nil {
+		return nil, err
+	}
+	nominal, err := workload.SensitivityNominal(s.opts())
+	if err != nil {
+		return nil, err
+	}
+	points := make([]Fig3Point, 0, len(jobs))
+	for _, j := range jobs {
+		res, err := s.Run(ctx, j)
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, Fig3Point{
+			Cores:      j.Cores,
+			SerialPct:  j.Pct,
+			Throughput: float64(nominal) / units.Seconds(res.Makespan) / 1e9,
+			Util:       res.WorkerUtil,
 		})
+	}
+	return points, nil
 }
 
 // Fig3bTable renders throughput vs cores.
@@ -1048,24 +1094,19 @@ func (s *Suite) Fig14b(ctx context.Context) (*report.Table, error) {
 // so racing callers share one computation and a prewarmed suite renders
 // this figure without simulating.
 func (s *Suite) Fig15(ctx context.Context) (map[string]*stats.Result, error) {
-	return runner.Await(ctx, &s.mu,
-		func() *flight[map[string]*stats.Result] { return s.fig15 },
-		func(f *flight[map[string]*stats.Result]) { s.fig15 = f },
-		func(ctx context.Context) (map[string]*stats.Result, error) {
-			jobs := seriesCells()
-			if err := s.Prewarm(ctx, jobs); err != nil {
-				return nil, err
-			}
-			out := map[string]*stats.Result{}
-			for _, j := range jobs {
-				res, err := s.Run(ctx, j)
-				if err != nil {
-					return nil, err
-				}
-				out[j.Sys.String()] = res
-			}
-			return out, nil
-		})
+	jobs := seriesCells()
+	if err := s.Prewarm(ctx, jobs); err != nil {
+		return nil, err
+	}
+	out := map[string]*stats.Result{}
+	for _, j := range jobs {
+		res, err := s.Run(ctx, j)
+		if err != nil {
+			return nil, err
+		}
+		out[j.Sys.String()] = res
+	}
+	return out, nil
 }
 
 // Fig16a renders graph/bigdata throughput.

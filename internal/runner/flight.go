@@ -19,21 +19,21 @@ func computeSafe[T any](ctx context.Context, compute func(context.Context) (T, e
 	return compute(ctx)
 }
 
-// Flight is one single-flight cache slot: the first requester computes the
-// value, everyone else waits on ready. Slots live in caller-owned maps
-// guarded by a caller-owned mutex; Await implements the protocol.
-type Flight[T any] struct {
+// flight is one single-flight cache slot: the first requester computes the
+// value, everyone else waits on ready.
+type flight[T any] struct {
 	ready chan struct{}
-	val   T
-	err   error
+	// starterDone is the starter's ctx.Done(). Once it fires on a flight
+	// that has not finished, the starter is cancelled but still inside
+	// compute — possibly wedged — so a live waiter takes the slot over.
+	starterDone <-chan struct{}
+	val         T
+	err         error
 }
 
-// Done reports whether the flight's computation has finished (successfully
-// or not). Callers holding the mutex that guards the flight's slot can use
-// it to distinguish settled entries from in-flight ones — e.g. a bounded
-// cache must not evict a flight other goroutines are still awaiting, or the
-// single-flight guarantee silently degrades to duplicate builds.
-func (f *Flight[T]) Done() bool {
+// done reports whether the flight's computation has finished (successfully
+// or not).
+func (f *flight[T]) done() bool {
 	select {
 	case <-f.ready:
 		return true
@@ -42,55 +42,136 @@ func (f *Flight[T]) Done() bool {
 	}
 }
 
-// Await implements the single-flight protocol shared by the experiment
-// Suite's cell cache and the cluster image/probe caches. get and set run
-// under mu (set(nil) evicts the slot); compute runs outside the lock. A
-// flight that failed only because its starter's context was cancelled is
-// evicted, and waiters with live contexts take another lap and compute it
-// themselves rather than inheriting a cancellation they never asked for.
-func Await[T any](ctx context.Context, mu *sync.Mutex,
-	get func() *Flight[T], set func(*Flight[T]),
-	compute func(context.Context) (T, error)) (T, error) {
+// Cache is a size-bounded single-flight map: the one cache primitive the
+// reproduction's caches (experiment cells, device images, work-steal
+// probes) are built on. The first requester of a key computes its value
+// while later requesters wait for it; entries are evicted
+// oldest-insertion-first past the bound. Safe for concurrent use.
+type Cache[K comparable, V any] struct {
+	limit int
+
+	mu      sync.Mutex
+	entries map[K]*flight[V]
+	order   []K // insertion order, oldest first
+
+	hits, misses, evictions int64
+}
+
+// CacheStats is a point-in-time snapshot of a Cache. A hit is a request
+// that found a flight (finished or shared in-flight), a miss an insertion,
+// an eviction a capacity eviction; Len is the current entry count.
+type CacheStats struct {
+	Hits, Misses, Evictions int64
+	Len                     int
+}
+
+// NewCache returns an empty cache holding at most limit settled entries.
+func NewCache[K comparable, V any](limit int) *Cache[K, V] {
+	return &Cache[K, V]{limit: limit, entries: map[K]*flight[V]{}}
+}
+
+// Stats returns the cache's counters.
+func (c *Cache[K, V]) Stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Len: len(c.entries)}
+}
+
+// Await returns key's value, computing it with compute on first request;
+// concurrent requests for the key share that one computation. Nothing is
+// cached when compute fails only because its own context was cancelled
+// (live waiters recompute rather than inherit it) or panics (waiters get
+// the *PanicError, the next request recomputes). A live waiter on a
+// flight whose starter's context is done but whose compute has not
+// returned evicts it and computes the value itself, so a computation that
+// ignores cancellation blocks no one. An eviction only removes the flight
+// it judged, so a late starter never clobbers its replacement.
+func (c *Cache[K, V]) Await(ctx context.Context, key K, compute func(context.Context) (V, error)) (V, error) {
+	var zero V
 	for {
-		mu.Lock()
-		f := get()
+		c.mu.Lock()
+		f := c.entries[key]
 		if f == nil {
-			f = &Flight[T]{ready: make(chan struct{})}
-			set(f)
-			mu.Unlock()
+			f = &flight[V]{ready: make(chan struct{}), starterDone: ctx.Done()}
+			c.insert(key, f)
+			c.mu.Unlock()
 			f.val, f.err = computeSafe(ctx, compute)
 			var pe *PanicError
 			if f.err != nil && (IsCancellation(f.err) || errors.As(f.err, &pe)) {
-				// Evict before close so retrying waiters find the slot
-				// empty. Cancellations evict so a live-context waiter can
-				// recompute; panics evict so one wedge-inducing input does
-				// not poison the cell forever — but unlike a cancellation,
-				// the panic error IS delivered to current waiters.
-				mu.Lock()
-				set(nil)
-				mu.Unlock()
+				// Evict before close so retrying waiters find the slot empty.
+				c.drop(key, f)
 			}
 			close(f.ready)
 			return f.val, f.err
 		}
-		mu.Unlock()
+		c.hits++
+		c.mu.Unlock()
 		// Prefer a finished flight over noticing our own cancellation:
 		// when both channels are ready the cached result must win, or a
 		// cancelled parallel run would drop tables a sequential run had
 		// already printed.
-		select {
-		case <-f.ready:
-		default:
+		if !f.done() {
 			select {
 			case <-f.ready:
 			case <-ctx.Done():
-				var zero T
 				return zero, ctx.Err()
+			case <-f.starterDone:
+				if ctx.Err() != nil {
+					return zero, ctx.Err()
+				}
+				if !f.done() {
+					c.drop(key, f)
+					continue
+				}
 			}
 		}
 		if f.err != nil && IsCancellation(f.err) && ctx.Err() == nil {
 			continue // starter was cancelled, not us: recompute
 		}
 		return f.val, f.err
+	}
+}
+
+// insert caches f under key and enforces the bound. Called with c.mu held
+// and key absent, so order stays duplicate-free.
+func (c *Cache[K, V]) insert(key K, f *flight[V]) {
+	c.misses++
+	c.entries[key] = f
+	c.order = append(c.order, key)
+	// Evict oldest-first, skipping the just-inserted key and any flight
+	// still being computed: evicting an in-flight entry would break
+	// single-flight — its waiters keep waiting on the orphaned flight while
+	// a new requester starts a duplicate computation — so the cache instead
+	// exceeds its bound transiently while more than limit are in the air.
+	for len(c.entries) > c.limit {
+		victim := -1
+		for i, k := range c.order {
+			if k != key && c.entries[k].done() {
+				victim = i
+				break
+			}
+		}
+		if victim < 0 {
+			return // everything evictable is in flight; retry on next insert
+		}
+		delete(c.entries, c.order[victim])
+		c.order = append(c.order[:victim], c.order[victim+1:]...)
+		c.evictions++
+	}
+}
+
+// drop removes key's entry if it is still f.
+func (c *Cache[K, V]) drop(key K, f *flight[V]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[key] != f {
+		return
+	}
+	delete(c.entries, key)
+	for i, k := range c.order {
+		if k == key {
+			c.order = append(c.order[:i], c.order[i+1:]...)
+			break
+		}
 	}
 }

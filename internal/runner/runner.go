@@ -21,7 +21,7 @@ import (
 )
 
 // PanicError is a job panic converted into an error: the pool (and
-// Await) recover panics so one broken cell fails its own job instead of
+// Cache.Await) recover panics so one broken cell fails its own job instead of
 // killing the whole process — the serving layer depends on this to keep
 // a daemon alive through a panicking render.
 type PanicError struct {
@@ -110,7 +110,7 @@ func (p *Pool) run(ctx context.Context, n int, fn func(ctx context.Context, i in
 				if failFast {
 					return err
 				}
-				if !isCancellation(err) {
+				if !IsCancellation(err) {
 					if firstReal == nil {
 						firstReal = err
 					}
@@ -158,7 +158,7 @@ func (p *Pool) run(ctx context.Context, n int, fn func(ctx context.Context, i in
 
 	// Real failures outrank the cancellations they caused.
 	for _, err := range errs {
-		if err != nil && !isCancellation(err) {
+		if err != nil && !IsCancellation(err) {
 			return err
 		}
 	}
@@ -191,8 +191,6 @@ func Collect[T any](ctx context.Context, p *Pool, n int, fn func(ctx context.Con
 
 // IsCancellation reports whether err stems from context cancellation or
 // deadline expiry rather than a job's own failure.
-func IsCancellation(err error) bool { return isCancellation(err) }
-
-func isCancellation(err error) bool {
+func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -290,14 +290,8 @@ func TestPanicBecomesError(t *testing.T) {
 // the flight (waiters get the error instead of hanging) and evict the
 // slot so the next request recomputes.
 func TestAwaitPanicSettlesWaitersAndEvicts(t *testing.T) {
-	var (
-		mu    sync.Mutex
-		slot  *Flight[int]
-		calls int32
-	)
-	get := func() *Flight[int] { return slot }
-	set := func(f *Flight[int]) { slot = f }
-
+	c := NewCache[int, int](4)
+	var calls int32
 	compute := func(ctx context.Context) (int, error) {
 		if atomic.AddInt32(&calls, 1) == 1 {
 			panic("first compute dies")
@@ -312,7 +306,7 @@ func TestAwaitPanicSettlesWaitersAndEvicts(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			_, errs[k] = Await(context.Background(), &mu, get, set, compute)
+			_, errs[k] = c.Await(context.Background(), 1, compute)
 		}(k)
 	}
 	wg.Wait()
@@ -334,8 +328,171 @@ func TestAwaitPanicSettlesWaitersAndEvicts(t *testing.T) {
 		t.Fatalf("panic error reached %d goroutines, want >= 1 (oks %d)", panics, oks)
 	}
 	// The slot was evicted, so a fresh request recomputes and succeeds.
-	v, err := Await(context.Background(), &mu, get, set, compute)
+	v, err := c.Await(context.Background(), 1, compute)
 	if err != nil || v != 42 {
 		t.Fatalf("recompute after panic eviction = %d, %v; want 42, nil", v, err)
+	}
+}
+
+// TestEvictionSkipsInFlight pins the eviction rule: capacity pressure must
+// never evict a flight that is still computing — its waiters would be
+// orphaned and a new requester would duplicate the computation — even if
+// that means transiently exceeding the bound.
+func TestEvictionSkipsInFlight(t *testing.T) {
+	c := NewCache[int, int](1)
+	ctx := context.Background()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Await(ctx, 1, func(context.Context) (int, error) {
+			close(started)
+			<-release
+			return 100, nil
+		})
+		done <- err
+	}()
+	<-started
+
+	// A second key at limit 1: the oldest entry is in flight, so it must
+	// survive and the cache must run over its bound instead.
+	if _, err := c.Await(ctx, 2, func(context.Context) (int, error) { return 200, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Len != 2 || st.Evictions != 0 {
+		t.Fatalf("len %d evictions %d, want 2 and 0 (bound exceeded, nothing dropped)", st.Len, st.Evictions)
+	}
+
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	// The survivor serves its waiters from cache.
+	v, err := c.Await(ctx, 1, func(context.Context) (int, error) {
+		t.Error("recompute after spurious eviction")
+		return -1, nil
+	})
+	if err != nil || v != 100 {
+		t.Fatalf("Await(1) = %d, %v; want 100", v, err)
+	}
+	// With every flight settled, the next insertion restores the bound.
+	if _, err := c.Await(ctx, 3, func(context.Context) (int, error) { return 300, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Len != 1 || st.Evictions != 2 {
+		t.Fatalf("len %d evictions %d after settle, want 1 and 2", st.Len, st.Evictions)
+	}
+}
+
+// TestCacheStaysBounded: inserting far more keys than the bound keeps
+// the cache at the bound, oldest keys evicted first, counters exact.
+func TestCacheStaysBounded(t *testing.T) {
+	const limit = 8
+	c := NewCache[int, int](limit)
+	ctx := context.Background()
+	for i := 0; i < 5*limit; i++ {
+		if v, err := c.Await(ctx, i, func(context.Context) (int, error) { return i, nil }); err != nil || v != i {
+			t.Fatalf("Await(%d) = %d, %v", i, v, err)
+		}
+		if st := c.Stats(); st.Len > limit {
+			t.Fatalf("after %d inserts the cache holds %d entries, bound %d", i+1, st.Len, limit)
+		}
+	}
+	st := c.Stats()
+	if st.Misses != 5*limit || st.Evictions != 4*limit || st.Hits != 0 {
+		t.Fatalf("stats %+v, want %d misses, %d evictions, 0 hits", st, 5*limit, 4*limit)
+	}
+	// The newest keys survive; the oldest recompute.
+	if v, _ := c.Await(ctx, 5*limit-1, func(context.Context) (int, error) { return -1, nil }); v != 5*limit-1 {
+		t.Errorf("newest key recomputed: got %d", v)
+	}
+	if v, _ := c.Await(ctx, 0, func(context.Context) (int, error) { return -1, nil }); v != -1 {
+		t.Errorf("oldest key served from cache after eviction: got %d", v)
+	}
+}
+
+// TestWedgedStarterDoesNotBlockLiveWaiter: a starter that ignores its
+// cancelled context must not hold up a waiter whose context is live — the
+// waiter evicts the wedged flight and computes the value itself — and
+// when the starter finally returns, neither its value nor its
+// cancellation eviction touches the replacement.
+func TestWedgedStarterDoesNotBlockLiveWaiter(t *testing.T) {
+	for _, lateErr := range []error{nil, context.Canceled} {
+		c := NewCache[string, int](4)
+		starterCtx, cancel := context.WithCancel(context.Background())
+		started := make(chan struct{})
+		release := make(chan struct{})
+		type result struct {
+			v   int
+			err error
+		}
+		starter := make(chan result, 1)
+		go func() {
+			v, err := c.Await(starterCtx, "cell", func(context.Context) (int, error) {
+				close(started)
+				<-release // ignores its context: wedged
+				return 1, lateErr
+			})
+			starter <- result{v, err}
+		}()
+		<-started
+		cancel()
+
+		waiter := make(chan result, 1)
+		go func() {
+			v, err := c.Await(context.Background(), "cell", func(context.Context) (int, error) { return 2, nil })
+			waiter <- result{v, err}
+		}()
+		select {
+		case r := <-waiter:
+			if r.err != nil || r.v != 2 {
+				t.Fatalf("late=%v: live waiter got %d, %v; want 2, nil", lateErr, r.v, r.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("late=%v: live waiter blocked behind a wedged starter", lateErr)
+		}
+
+		close(release)
+		if r := <-starter; r.v != 1 || r.err != lateErr {
+			t.Fatalf("late=%v: starter got %d, %v; want its own result", lateErr, r.v, r.err)
+		}
+		v, err := c.Await(context.Background(), "cell", func(context.Context) (int, error) {
+			t.Errorf("late=%v: the starter's late return evicted the replacement", lateErr)
+			return -1, nil
+		})
+		if err != nil || v != 2 {
+			t.Fatalf("late=%v: cached value after the starter returned = %d, %v; want 2", lateErr, v, err)
+		}
+	}
+}
+
+// TestCancelledWaiterLeavesFlight: a waiter whose own context ends stops
+// waiting with its context's error, while the flight it left keeps
+// computing for everyone else.
+func TestCancelledWaiterLeavesFlight(t *testing.T) {
+	c := NewCache[int, int](4)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	done := make(chan int, 1)
+	go func() {
+		v, _ := c.Await(context.Background(), 1, func(context.Context) (int, error) {
+			close(started)
+			<-release
+			return 7, nil
+		})
+		done <- v
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Await(ctx, 1, func(context.Context) (int, error) { return -1, nil }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter err = %v, want context.Canceled", err)
+	}
+	close(release)
+	if v := <-done; v != 7 {
+		t.Fatalf("starter got %d, want 7", v)
+	}
+	if st := c.Stats(); st.Len != 1 || st.Hits != 1 {
+		t.Fatalf("stats %+v, want one cached entry and one hit", st)
 	}
 }

@@ -72,8 +72,8 @@ func expectBytes(t *testing.T, name string, got, want []byte) {
 // default full run as its own job and checks the concatenated results
 // against the CLI's all_scale256 golden — the daemon invariant that one
 // experiment's bytes are the same whether it renders alone or inside
-// "all". The jobs share one pooled suite, so the single-flight cell
-// cache keeps the cost near one full render.
+// "all". The jobs share the daemon's single-flight cell cache, so the
+// cost stays near one full render.
 func TestGoldenEquivalencePerExperiment(t *testing.T) {
 	c := newServer(t, service.Config{Workers: 1, SimWorkers: runtime.GOMAXPROCS(0), QueueDepth: 64})
 	ctx := context.Background()

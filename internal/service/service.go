@@ -18,7 +18,8 @@
 // a job's result bytes are exactly what the abacus-repro CLI prints for
 // the same knobs. The daemon adds admission control (bounded queue,
 // 429 shedding, per-client round-robin fairness) and server-side
-// deadlines on top, never different bytes.
+// deadlines on top, never different bytes. Every job renders through a
+// view of one experiments.Suite, so all jobs share one bounded cell cache.
 package service
 
 import (
@@ -63,10 +64,7 @@ type Config struct {
 	// RetainJobs bounds how many terminal jobs stay queryable (default
 	// 256); the oldest are forgotten first.
 	RetainJobs int
-	// MaxSuites bounds the pool of experiment suites kept warm, one per
-	// distinct (scale, devices, fault plan) combination (default 8).
-	MaxSuites int
-	// Images is the image cache every suite shares (default: a fresh
+	// Images is the image cache every job shares (default: a fresh
 	// process-wide cache). The flashabacus facade passes its shared one.
 	Images *cluster.ImageCache
 	// Store optionally backs Images with a persistent image store.
@@ -79,9 +77,10 @@ type Config struct {
 	// the journal's lifetime and closes it after Close returns.
 	Journal *journal.Journal
 	// WatchdogGrace is how long a running render may ignore its
-	// cancelled context before the watchdog abandons it: the job fails,
-	// its suite is evicted so the wedge cannot poison later jobs, and
-	// the worker moves on (default 10s).
+	// cancelled context before the watchdog abandons it: the job fails
+	// and the worker moves on (default 10s). Later jobs never wait on
+	// the wedged render: a cell whose computing job's context is done is
+	// taken over by the next live job that needs it.
 	WatchdogGrace time.Duration
 	// Chaos, when set, injects the configured deterministic faults
 	// (crash-at-append, render panics, journal write failures); it is
@@ -118,9 +117,6 @@ func (c Config) withDefaults() Config {
 	if c.RetainJobs < 1 {
 		c.RetainJobs = 256
 	}
-	if c.MaxSuites < 1 {
-		c.MaxSuites = 8
-	}
 	if c.WatchdogGrace <= 0 {
 		c.WatchdogGrace = 10 * time.Second
 	}
@@ -130,16 +126,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// suiteKey identifies a reusable experiment suite: every knob that
-// shapes a suite's state. Jobs with equal keys share one suite — and
-// with it the single-flight cell cache, so a repeat job is mostly
-// cache reads.
-type suiteKey struct {
-	scale   int64
-	devices int
-	fault   string // fault name + "\x00" + plan text ("" = none)
-}
-
 // Server is the daemon: an http.Handler plus the worker pool behind it.
 type Server struct {
 	cfg    Config
@@ -147,6 +133,8 @@ type Server struct {
 	sched  *scheduler
 	met    *metrics
 	images *cluster.ImageCache
+	// root owns the cell cache every job renders through a view of.
+	root *experiments.Suite
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -158,8 +146,6 @@ type Server struct {
 	jobs    map[string]*job
 	order   []string          // job ids, submission order, for retention
 	dedupe  map[string]string // dedupe key -> job id, for retained jobs
-	suites  map[suiteKey]*experiments.Suite
-	suiteQ  []suiteKey // suite keys, least recently used first
 	closed  bool
 
 	// Journal write breaker: journalFailureBudget consecutive append
@@ -184,14 +170,16 @@ func New(cfg Config) *Server {
 	if cfg.Store != nil {
 		cfg.Images.SetStore(cfg.Store)
 	}
+	root := experiments.NewSuiteWithImages(1, cfg.Images)
+	root.Workers = cfg.SimWorkers
 	s := &Server{
 		cfg:    cfg,
 		sched:  newScheduler(cfg.QueueDepth),
 		met:    newMetrics(),
 		images: cfg.Images,
+		root:   root,
 		jobs:   map[string]*job{},
 		dedupe: map[string]string{},
-		suites: map[suiteKey]*experiments.Suite{},
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if cfg.Chaos != nil && cfg.Journal != nil {
@@ -914,8 +902,8 @@ func (s *Server) execute(j *job) {
 
 	// The render runs in a child goroutine so this worker can watchdog
 	// it: a render that ignores its cancelled context past WatchdogGrace
-	// is abandoned — its suite evicted, its job failed, the goroutine
-	// left to unwind on its own — instead of wedging the worker forever.
+	// is abandoned — its job failed, the goroutine left to unwind on its
+	// own — instead of wedging the worker forever.
 	renderErr := make(chan error, 1)
 	go func() { renderErr <- s.runJob(ctx, j) }()
 
@@ -930,7 +918,6 @@ func (s *Server) execute(j *job) {
 			grace.Stop()
 		case <-grace.C:
 			wedged = true
-			s.abandonSuite(j)
 			s.met.watchdogKill()
 			log.Printf("abacusd: watchdog abandoned job %s: render ignored cancellation for %s",
 				j.id, s.cfg.WatchdogGrace)
@@ -996,80 +983,19 @@ func (s *Server) runJob(ctx context.Context, j *job) (err error) {
 	return s.render(ctx, j)
 }
 
-// abandonSuite evicts the job's suite from the pool so a wedged render
-// holding its single-flight cells cannot poison later jobs; the next
-// job with these knobs builds a fresh suite.
-func (s *Server) abandonSuite(j *job) {
-	key := suiteKeyFor(j)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.suites[key]; ok {
-		delete(s.suites, key)
-		s.suiteQ = dropSuiteKey(s.suiteQ, key)
-	}
-}
-
-// render renders the job's selection through a pooled suite; the job
-// itself is the io.Writer, so streaming readers see bytes live.
+// render renders the job's selection through a view of the root suite
+// at the job's knobs; the job itself is the io.Writer, so streaming
+// readers see bytes live.
 func (s *Server) render(ctx context.Context, j *job) error {
 	sel, err := experiments.Select(j.req.Experiment, j.req.Devices, j.req.Topology, j.plan != nil)
 	if err != nil {
 		return err
 	}
-	suite, err := s.suiteFor(j)
-	if err != nil {
-		return err
-	}
-	return suite.Render(ctx, j, sel)
-}
-
-// suiteFor returns the pooled suite for the job's knobs, creating and
-// LRU-evicting as needed. Suites share the server's image cache, so an
-// evicted suite costs repeat jobs its cell cache, not its images.
-func (s *Server) suiteFor(j *job) (*experiments.Suite, error) {
-	key := suiteKeyFor(j)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if suite, ok := s.suites[key]; ok {
-		s.suiteQ = append(dropSuiteKey(s.suiteQ, key), key)
-		return suite, nil
-	}
-	suite := experiments.NewSuiteWithImages(j.req.Scale, s.images)
-	suite.Workers = s.cfg.SimWorkers
-	suite.MaxDevices = j.req.Devices
+	var scs []experiments.FaultScenario
 	if j.plan != nil {
-		suite.SetFaultScenarios([]experiments.FaultScenario{{Name: j.req.FaultName, Plan: j.plan}})
+		scs = []experiments.FaultScenario{{Name: j.req.FaultName, Plan: j.plan}}
 	}
-	s.suites[key] = suite
-	s.suiteQ = append(s.suiteQ, key)
-	if len(s.suiteQ) > s.cfg.MaxSuites {
-		evict := s.suiteQ[0]
-		s.suiteQ = s.suiteQ[1:]
-		delete(s.suites, evict)
-		// A running job holding the evicted suite keeps its reference;
-		// eviction only stops new jobs from finding it.
-	}
-	return suite, nil
-}
-
-// suiteKeyFor derives the suite pool key from a job's knobs. The fault
-// component is the request's plan text (a preset name or the inline
-// grammar), which determines the parsed plan.
-func suiteKeyFor(j *job) suiteKey {
-	key := suiteKey{scale: j.req.Scale, devices: j.req.Devices}
-	if j.plan != nil {
-		key.fault = j.req.FaultName + "\x00" + j.req.FaultPlan
-	}
-	return key
-}
-
-func dropSuiteKey(q []suiteKey, key suiteKey) []suiteKey {
-	for i, k := range q {
-		if k == key {
-			return append(q[:i], q[i+1:]...)
-		}
-	}
-	return q
+	return s.root.With(j.req.Scale, j.req.Devices, scs).Render(ctx, j, sel)
 }
 
 // Experiments returns the servable experiment ids (presentation order),

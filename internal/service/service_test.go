@@ -398,3 +398,35 @@ func TestLoadConcurrent(t *testing.T) {
 		t.Errorf("metrics scrape missing shed counter after %d sheds", sheds)
 	}
 }
+
+// TestJobsShareCellsAcrossDevices: every job renders through one cell
+// cache, so two jobs that differ only in devices share their homogeneous
+// cells — the second job simulates nothing (its image counters stay put,
+// since every simulated cell forks an image) and serves the same bytes.
+func TestJobsShareCellsAcrossDevices(t *testing.T) {
+	c, s := testServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	render := func(devices int) []byte {
+		st, err := c.Submit(ctx, JobRequest{Experiment: "fig10a", Scale: 256, Devices: devices, Client: "alice"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Result(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	one := render(1)
+	before := s.images.Stats()
+	if before.ImageMisses == 0 {
+		t.Fatal("the first job simulated no cells")
+	}
+	eight := render(8)
+	if after := s.images.Stats(); after != before {
+		t.Fatalf("the devices=8 job simulated cells again: image stats %+v -> %+v", before, after)
+	}
+	if string(one) != string(eight) {
+		t.Fatal("fig10a bytes depend on devices")
+	}
+}

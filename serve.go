@@ -19,6 +19,19 @@ import (
 // after the workers have drained.
 const httpDrainTimeout = 5 * time.Second
 
+// Connection limits of the daemon's HTTP server, so slow or abusive
+// clients cannot pin connections open: a request's headers must arrive
+// within readHeaderTimeout and the whole request within readTimeout, and
+// an idle keep-alive connection closes after idleTimeout. The read limits
+// stop counting once a request has been read, so they never cut a
+// response; a write timeout would — ?wait=1 long-polls and result streams
+// legitimately run for minutes — so there is none.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 // ServiceConfig shapes a Service; the zero value is usable. See the
 // field docs in internal/service.Config.
 type ServiceConfig = service.Config
@@ -77,11 +90,21 @@ func NewService(cfg ServiceConfig) *Service {
 // a grace period to read their final bytes. The returned error is nil
 // on a clean shutdown.
 func Serve(ctx context.Context, addr string, cfg ServiceConfig) error {
-	svc := NewService(cfg)
-	hs := &http.Server{Addr: addr, Handler: svc}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
+	}
+	return serve(ctx, ln, cfg)
+}
+
+// serve is Serve on an open listener, which it closes.
+func serve(ctx context.Context, ln net.Listener, cfg ServiceConfig) error {
+	svc := NewService(cfg)
+	hs := &http.Server{
+		Handler:           svc,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
