@@ -12,10 +12,8 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/imagestore"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -284,130 +282,6 @@ func BenchmarkFig3SensitivityParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- persistent image store (internal/imagestore) --------------------------
-
-// coldStartBundles is the bundle set a fresh process acquires images for
-// before its first simulation can start: every Table 2 application, a
-// spread of mixes, and the bigdata pair the suite leans on. Synthesis runs
-// once, outside the timed loops, so the pair below isolates image
-// acquisition (build-and-fill vs decode-from-store).
-func coldStartBundles(b *testing.B) []*workload.Bundle {
-	b.Helper()
-	o := workload.DefaultOptions()
-	o.Scale = benchScale
-	var bundles []*workload.Bundle
-	for _, name := range append(workload.Names(), "bfs", "wc") {
-		bundle, err := workload.Homogeneous(name, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bundles = append(bundles, bundle)
-	}
-	for _, mix := range []int{1, 7, 14} {
-		bundle, err := workload.Mix(mix, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bundles = append(bundles, bundle)
-	}
-	return bundles
-}
-
-// acquireImages pulls every image the suite's cells fork — both capture
-// stages of every (storage class, bundle) pair — through a brand-new
-// process-local cache: the cold-start work a fresh process pays before its
-// first simulation.
-func acquireImages(b *testing.B, images *cluster.ImageCache, bundles []*workload.Bundle) {
-	b.Helper()
-	ctx := context.Background()
-	for _, bundle := range bundles {
-		for _, sys := range []System{SIMD, IntraO3} {
-			cfg := DefaultConfig(sys)
-			if _, err := images.Populated(ctx, cfg, bundle); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := images.Offloaded(ctx, cfg, bundle); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkColdStartEmptyStore / BenchmarkColdStartWarmStore pin the
-// tentpole claim of the persistent store: a fresh process facing an empty
-// filesystem store pays the full build lifecycle (and the encode+put fill,
-// drained inside the timer); the same process over a warm store decodes
-// every image instead. The ratio is the cross-process cold-start speedup.
-func BenchmarkColdStartEmptyStore(b *testing.B) {
-	bundles := coldStartBundles(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		st, err := imagestore.NewFSStore(b.TempDir(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		images := cluster.NewImageCache()
-		images.SetStore(st)
-		acquireImages(b, images, bundles)
-		images.FlushStore()
-	}
-}
-
-func BenchmarkColdStartWarmStore(b *testing.B) {
-	bundles := coldStartBundles(b)
-	st, err := imagestore.NewFSStore(b.TempDir(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	warm := cluster.NewImageCache()
-	warm.SetStore(st)
-	acquireImages(b, warm, bundles)
-	warm.FlushStore()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		images := cluster.NewImageCache()
-		images.SetStore(st)
-		acquireImages(b, images, bundles)
-		images.FlushStore()
-	}
-}
-
-// BenchmarkSuitePrewarmWarmStore is the end-to-end narrative point: a full
-// fresh-process SuitePrewarm (images and simulations) over a warm store,
-// comparable against BenchmarkSuitePrewarmSequential's cold-process number.
-// The simulations themselves are not storable, so this improves by the
-// build share of prewarm rather than the ColdStart ratio.
-func BenchmarkSuitePrewarmWarmStore(b *testing.B) {
-	jobs := experiments.CellsFor(experiments.CachedExperimentIDs)
-	st, err := imagestore.NewFSStore(b.TempDir(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	warm := experiments.NewSuite(benchScale)
-	warm.Workers = 1
-	warm.SetImageStore(st)
-	if err := warm.Prewarm(context.Background(), jobs); err != nil {
-		b.Fatal(err)
-	}
-	warm.FlushImages()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite(benchScale)
-		s.Workers = 1
-		s.SetImageStore(st)
-		if err := s.Prewarm(context.Background(), jobs); err != nil {
-			b.Fatal(err)
-		}
-		s.FlushImages()
-	}
-	b.ReportMetric(float64(len(jobs)), "cells")
 }
 
 // --- ablations (DESIGN.md §6) ---------------------------------------------

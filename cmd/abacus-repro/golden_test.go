@@ -81,44 +81,6 @@ func firstDiff(want, got []byte) string {
 	return fmt.Sprintf("line counts differ: want %d lines, got %d", len(wl), len(gl))
 }
 
-// A persistent image store must be invisible in stdout: the cold run that
-// fills it and the warm run that decodes every image from it both print
-// exactly the committed golden bytes (for both dispatch-layer shapes), and
-// the warm run must actually hit the store — otherwise this test would
-// pass vacuously with a broken codec that never round-trips.
-func TestGoldenImageStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("four full renders")
-	}
-	dir := t.TempDir()
-	for _, tc := range goldenCases {
-		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
-		if err != nil {
-			t.Fatalf("%v (run TestGoldenOutput with -update first)", err)
-		}
-		for _, phase := range []string{"cold", "warm"} {
-			t.Run(tc.name+"/"+phase, func(t *testing.T) {
-				var buf, stats bytes.Buffer
-				rc := runConfig{scale: 256, exp: "all", jobs: runtime.GOMAXPROCS(0), devices: tc.devices,
-					imageStore: dir, verbose: true, errw: &stats}
-				if err := run(context.Background(), &buf, rc); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Fatalf("%s output with -image-store drifted from %s:\n%s",
-						phase, tc.file, firstDiff(want, buf.Bytes()))
-				}
-				if phase == "warm" && !strings.Contains(stats.String(), "store") {
-					t.Fatalf("missing -v statistics line, got %q", stats.String())
-				}
-				if phase == "warm" && strings.Contains(stats.String(), "store 0 hits") {
-					t.Fatalf("warm run never hit the store: %q", stats.String())
-				}
-			})
-		}
-	}
-}
-
 // The golden capture must itself be independent of -jobs: a fully
 // sequential render produces the same bytes the parallel one does.
 func TestGoldenJobsInvariance(t *testing.T) {

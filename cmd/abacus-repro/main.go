@@ -4,7 +4,7 @@
 // Usage:
 //
 //	abacus-repro [-scale N] [-experiment id] [-jobs N] [-devices N]
-//	             [-topology] [-faults PLAN] [-image-store DIR] [-v] [-list]
+//	             [-topology] [-faults PLAN] [-v] [-list]
 //
 // scale divides the Table 2 input sizes (1 = paper scale; the default 16
 // finishes in well under a minute). jobs bounds how many independent device
@@ -18,9 +18,7 @@
 // -faults PLAN opts the fault-injection study into 'all', run under the
 // named plan — a preset (cardloss, flap, wear) or a plan-file path;
 // -experiment faults without -faults runs all three preset scenarios.
-// -image-store DIR persists device images under DIR so a later invocation
-// skips the build lifecycle (output stays byte-identical; corrupt entries
-// rebuild silently). -v prints image-cache statistics to stderr at exit.
+// -v prints image-cache statistics to stderr at exit.
 // -list prints the experiment ids. A SIGINT/SIGTERM cancels the run
 // cleanly.
 package main
@@ -41,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/imagestore"
 )
 
 // ids lists the experiment ids in presentation order. The registry
@@ -56,7 +53,6 @@ func main() {
 	devices := flag.Int("devices", 1, "max cards in the cluster scaling experiment (1 leaves it out of 'all')")
 	topology := flag.Bool("topology", false, "include the heterogeneous-topology sweep in 'all'")
 	faultPlan := flag.String("faults", "", "fault plan (preset name or plan-file path); includes the fault-injection study in 'all'")
-	imageStore := flag.String("image-store", "", "persist device images under this directory across invocations")
 	verbose := flag.Bool("v", false, "print image-cache statistics to stderr at exit")
 	list := flag.Bool("list", false, "print the experiment ids and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -87,7 +83,7 @@ func main() {
 
 	err := run(ctx, os.Stdout, runConfig{
 		scale: *scale, exp: *exp, jobs: *jobs, devices: *devices, topology: *topology,
-		faults: *faultPlan, imageStore: *imageStore, verbose: *verbose, errw: os.Stderr,
+		faults: *faultPlan, verbose: *verbose, errw: os.Stderr,
 	})
 	if *memProfile != "" {
 		f, merr := os.Create(*memProfile)
@@ -111,19 +107,17 @@ func main() {
 }
 
 // runConfig carries the flag values a run executes with. Only scale, exp,
-// jobs, devices, and topology shape the bytes written to w; the image
-// store and verbosity knobs never touch stdout, which is what keeps the
-// golden-output regression byte-identical with or without them.
+// jobs, devices, topology, and faults shape the bytes written to w; the
+// verbosity knob never touches stdout.
 type runConfig struct {
-	scale      int64
-	exp        string
-	jobs       int
-	devices    int
-	topology   bool
-	faults     string    // -faults: fault plan, preset name or file path ("" = off)
-	imageStore string    // -image-store: persistent image-store directory ("" = off)
-	verbose    bool      // -v: image-cache statistics at exit
-	errw       io.Writer // destination for -v statistics (nil discards)
+	scale    int64
+	exp      string
+	jobs     int
+	devices  int
+	topology bool
+	faults   string    // -faults: fault plan, preset name or file path ("" = off)
+	verbose  bool      // -v: image-cache statistics at exit
+	errw     io.Writer // destination for -v statistics (nil discards)
 }
 
 // resolveFaultPlan turns the -faults argument into a named scenario: a
@@ -170,25 +164,13 @@ func run(ctx context.Context, w io.Writer, rc runConfig) error {
 		}
 		s.SetFaultScenarios([]experiments.FaultScenario{{Name: name, Plan: plan}})
 	}
-	if rc.imageStore != "" {
-		st, err := imagestore.NewFSStore(rc.imageStore, 0)
-		if err != nil {
-			return err
-		}
-		s.SetImageStore(st)
-	}
-	// Store fills are asynchronous; drain them before returning so the next
-	// invocation finds every image this one built. The -v statistics print
-	// after the drain so the fill count is exact.
-	defer func() {
-		s.FlushImages()
-		if rc.verbose && rc.errw != nil {
+	if rc.verbose && rc.errw != nil {
+		defer func() {
 			st := s.ImageStats()
-			fmt.Fprintf(rc.errw, "image cache: memory %d hits / %d misses / %d evicted; probes %d hits / %d misses; store %d hits / %d misses / %d fills / %d errors\n",
-				st.ImageHits, st.ImageMisses, st.ImageEvictions, st.ProbeHits, st.ProbeMisses,
-				st.StoreHits, st.StoreMisses, st.StorePuts, st.StoreErrors)
-		}
-	}()
+			fmt.Fprintf(rc.errw, "image cache: memory %d hits / %d misses / %d evicted; probes %d hits / %d misses\n",
+				st.ImageHits, st.ImageMisses, st.ImageEvictions, st.ProbeHits, st.ProbeMisses)
+		}()
+	}
 
 	// The render orchestration — simulation-free tables first, one shared
 	// prewarm, then ordered streaming of every table — lives on the Suite

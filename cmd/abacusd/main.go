@@ -6,22 +6,22 @@
 // Usage:
 //
 //	abacusd [-addr :8080] [-workers N] [-sim-workers N] [-queue N]
-//	        [-timeout D] [-max-timeout D] [-retain N] [-image-store DIR]
-//	        [-journal DIR] [-watchdog-grace D] [-chaos SPEC]
+//	        [-timeout D] [-max-timeout D] [-retain N] [-journal DIR]
+//	        [-watchdog-grace D] [-chaos SPEC]
 //
 // workers bounds how many jobs execute concurrently; sim-workers bounds
 // each job's internal device-simulation parallelism. queue bounds the
 // admitted backlog across all clients — beyond it, submissions are shed
 // with 429 — and dispatch is round-robin across clients, so one noisy
 // client cannot starve the rest. timeout/-max-timeout bound job
-// execution server-side. -image-store persists device images so repeat
-// jobs (and restarts) skip the build lifecycle.
+// execution server-side. Device images and probe results are cached in
+// memory for the life of the process, shared by every job.
 //
-// -journal makes job lifecycle durable: accepts, dispatches, and
-// terminal states (with result bytes) land in an append-only CRC-framed
-// journal under DIR, and a restarted daemon replays it — finished jobs
-// stay queryable with their exact bytes, jobs that were accepted or
-// running at crash time run again. -watchdog-grace bounds how long a
+// -journal makes job lifecycle durable: accepts and terminal states
+// (with result bytes) land in an append-only CRC-framed journal under
+// DIR, and a restarted daemon replays it — finished jobs stay queryable
+// with their exact bytes, jobs that were accepted or running at crash
+// time run again. -watchdog-grace bounds how long a
 // render may ignore its cancelled context before the stuck-job
 // watchdog abandons it. -chaos injects deterministic faults
 // (kill-after=N, torn-tail, panic=EXPERIMENT, journal-fail-after=N,
@@ -54,7 +54,6 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Minute, "default per-job execution deadline")
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "upper bound on client-requested job deadlines")
 	retain := flag.Int("retain", 256, "finished jobs kept queryable")
-	imageStore := flag.String("image-store", "", "persist device images under this directory")
 	journalDir := flag.String("journal", "", "journal job lifecycle under this directory and replay it at boot")
 	watchdogGrace := flag.Duration("watchdog-grace", 10*time.Second, "how long a render may ignore cancellation before the watchdog abandons it")
 	chaosSpec := flag.String("chaos", "", "deterministic fault plan for crash testing, e.g. kill-after=8,torn-tail,seed=1")
@@ -64,14 +63,6 @@ func main() {
 		Workers: *workers, SimWorkers: *simWorkers, QueueDepth: *queue,
 		DefaultTimeout: *timeout, MaxTimeout: *maxTimeout, RetainJobs: *retain,
 		WatchdogGrace: *watchdogGrace,
-	}
-	if *imageStore != "" {
-		st, err := flashabacus.OpenImageStore(*imageStore, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "abacusd:", err)
-			os.Exit(1)
-		}
-		cfg.Store = st
 	}
 	var jl *flashabacus.Journal
 	if *journalDir != "" {
@@ -101,9 +92,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "abacusd:", err)
 		os.Exit(1)
 	}
-	// Serve drained the workers; flush outstanding image-store fills so
-	// the next process finds every image this one built.
-	flashabacus.FlushImageStore()
 	if jl != nil {
 		jl.Close()
 	}

@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/imagestore"
 	"repro/internal/kdt"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -142,35 +141,9 @@ const MixCount = workload.MixCount
 // byte-identical with or without the cache.
 var sharedImages = cluster.NewImageCache()
 
-// ImageStore is a persistent blob store for device images — the second
-// cache level underneath the process-wide image cache. See OpenImageStore
-// and WithImageStore.
-type ImageStore = imagestore.Store
-
 // CacheStats is a point-in-time snapshot of the image cache's behavior:
-// hit/miss/eviction counters for the in-memory level and, when a store is
-// attached, hit/miss/fill counters for the persistent level.
+// hit/miss/eviction counters for device images and work-steal probes.
 type CacheStats = cluster.CacheStats
-
-// OpenImageStore opens (creating if needed) a filesystem-backed image store
-// rooted at dir. maxBytes bounds the directory's total size with
-// least-recently-used eviction; 0 selects a 1 GiB default.
-func OpenImageStore(dir string, maxBytes int64) (ImageStore, error) {
-	return imagestore.NewFSStore(dir, maxBytes)
-}
-
-// WithImageStore attaches a persistent image store underneath the
-// process-wide cache: package-level runs consult it before building device
-// images, and fresh builds are written back asynchronously. A second
-// process pointed at the same store skips the build lifecycle entirely —
-// near-zero cold start. Corrupt or stale entries fall back to a fresh
-// build. Pass nil to detach.
-func WithImageStore(st ImageStore) { sharedImages.SetStore(st) }
-
-// FlushImageStore blocks until every asynchronous store fill issued by
-// package-level runs has landed; call it before process exit so the store
-// is warm for the next process.
-func FlushImageStore() { sharedImages.FlushStore() }
 
 // ImageCacheStats returns the process-wide image cache's counters.
 func ImageCacheStats() CacheStats { return sharedImages.Stats() }

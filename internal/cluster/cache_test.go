@@ -267,3 +267,27 @@ func TestCachedClusterRunByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheStatsCounters pins the memory-level hit/miss accounting.
+func TestCacheStatsCounters(t *testing.T) {
+	ctx := context.Background()
+	b := testBundle(t, 4096)
+	cfg := core.DefaultConfig(core.IntraO3)
+	c := NewImageCache()
+	if _, err := c.Populated(ctx, cfg, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Populated(ctx, cfg, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := c.Stats()
+	if s.ImageMisses != 1 || s.ImageHits != 3 {
+		t.Fatalf("stats %+v, want 1 miss and 3 hits", s)
+	}
+	var nilCache *ImageCache
+	if nilCache.Stats() != (CacheStats{}) {
+		t.Fatal("nil cache stats not zero")
+	}
+}

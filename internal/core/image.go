@@ -54,7 +54,6 @@ func (c Config) BuildKey() BuildKey {
 //
 // An Image is safe for concurrent Forks from multiple goroutines.
 type Image struct {
-	cfg       Config
 	key       BuildKey
 	ftl       *flashvisor.FTLImage
 	flashBase map[flash.PhysGroup][]byte
@@ -77,7 +76,6 @@ func (d *Device) Snapshot() (*Image, error) {
 		return nil, fmt.Errorf("%w: populate triggered device-side reclaims", ErrUnforkable)
 	}
 	return &Image{
-		cfg:       d.Cfg,
 		key:       d.Cfg.BuildKey(),
 		ftl:       d.visor.FTL.Snapshot(),
 		flashBase: d.visor.Controller().BB.SnapshotStore(),
@@ -85,9 +83,6 @@ func (d *Device) Snapshot() (*Image, error) {
 		apps:      append([]offloadedApp(nil), d.offloaded...),
 	}, nil
 }
-
-// Config returns the configuration the image was built with.
-func (img *Image) Config() Config { return img.cfg }
 
 // Apps returns the number of offloaded applications captured in the image.
 func (img *Image) Apps() int { return len(img.apps) }

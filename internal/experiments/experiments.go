@@ -21,7 +21,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/imagestore"
 	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/runner"
@@ -216,18 +215,8 @@ func (s *Suite) With(scale int64, maxDevices int, scenarios []FaultScenario) *Su
 	}
 }
 
-// SetImageStore attaches a persistent second level to the suite's image
-// cache: cells consult the store before building device images, and fresh
-// builds are written back asynchronously (see FlushImages). Call it before
-// the first Run or Prewarm.
-func (s *Suite) SetImageStore(st imagestore.Store) { s.images.SetStore(st) }
-
 // ImageStats returns the suite's image/probe cache counters.
 func (s *Suite) ImageStats() cluster.CacheStats { return s.images.Stats() }
-
-// FlushImages blocks until every asynchronous image-store fill has landed,
-// the boundary after which the store is warm for the next process.
-func (s *Suite) FlushImages() { s.images.FlushStore() }
 
 // SetFaultScenarios replaces the suite's fault-injection scenarios (nil
 // restores DefaultFaultScenarios). A fault cell's key carries its plan's
@@ -309,20 +298,6 @@ func RunBundleCached(ctx context.Context, sys core.System, b *workload.Bundle, s
 	cfg := core.DefaultConfig(sys)
 	cfg.CollectSeries = series
 	return cluster.RunSingleCached(ctx, cfg, b, images)
-}
-
-// RunCluster shards a workload bundle across devices simulated cards under
-// the given dispatch policy and returns the aggregated cluster result.
-// devices <= 1 is the single-device path, byte-identical to RunBundle.
-// A non-nil image cache lets every card fork its class image and memoizes
-// work-steal probes across dispatches.
-func RunCluster(ctx context.Context, sys core.System, devices int, policy cluster.Policy, b *workload.Bundle, images *cluster.ImageCache) (*stats.Result, error) {
-	if devices < 1 {
-		devices = 1 // the documented single-device path, not a config error
-	}
-	cfg := core.DefaultConfig(sys)
-	cfg.Devices = devices
-	return cluster.Run(ctx, cfg, b, cluster.Options{Policy: policy, Images: images})
 }
 
 // RunTopology dispatches a workload bundle over an explicit cluster

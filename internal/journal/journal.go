@@ -2,8 +2,7 @@
 // layer: an append-only, CRC-framed record stream that survives being
 // killed at any byte.
 //
-// The format follows the imagestore codec discipline — versioned,
-// little-endian, checksummed end to end:
+// The format is versioned, little-endian, and checksummed end to end:
 //
 //	segment header (16 B): magic "FAJL" · u16 version · u8 type · u8 0 ·
 //	                       u32 crc32c(first 8 bytes) · u32 0
@@ -71,6 +70,8 @@ type Kind uint8
 
 const (
 	Accepted Kind = iota + 1
+	// Dispatched is no longer appended; replay still decodes it from
+	// journals written by older versions.
 	Dispatched
 	Done
 	Failed

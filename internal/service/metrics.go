@@ -211,21 +211,16 @@ func (m *metrics) render(w io.Writer, queueDepth int, img cluster.CacheStats, jl
 		fmt.Fprintf(w, "%s %d\n", g.name, g.v)
 	}
 
-	// Image cache and store counters: one consistent CacheStats copy per
-	// scrape, taken under the cache's own mutex.
+	// Image cache counters: one CacheStats copy per scrape.
 	for _, c := range []struct {
 		name, help string
 		v          int64
 	}{
 		{"abacusd_image_cache_hits_total", "Device-image memory cache hits.", img.ImageHits},
-		{"abacusd_image_cache_misses_total", "Device-image memory cache misses (builds or store loads).", img.ImageMisses},
+		{"abacusd_image_cache_misses_total", "Device-image memory cache misses (builds).", img.ImageMisses},
 		{"abacusd_image_cache_evictions_total", "Device images evicted from the memory cache.", img.ImageEvictions},
 		{"abacusd_image_probe_hits_total", "Probe-plan cache hits.", img.ProbeHits},
 		{"abacusd_image_probe_misses_total", "Probe-plan cache misses.", img.ProbeMisses},
-		{"abacusd_image_store_hits_total", "Persistent image-store hits.", img.StoreHits},
-		{"abacusd_image_store_misses_total", "Persistent image-store misses.", img.StoreMisses},
-		{"abacusd_image_store_fills_total", "Images written to the persistent store.", img.StorePuts},
-		{"abacusd_image_store_errors_total", "Persistent image-store I/O errors.", img.StoreErrors},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n", c.name, c.help)
 		fmt.Fprintf(w, "# TYPE %s counter\n", c.name)

@@ -351,6 +351,55 @@ func TestStreamOffset(t *testing.T) {
 	}
 }
 
+// TestStreamFlushesBeforeJobEnds: a streaming reader receives the bytes
+// a job has written while the job is still running, not only when it
+// ends. The gate writes a first chunk, then holds the job until the
+// client has read that chunk.
+func TestStreamFlushesBeforeJobEnds(t *testing.T) {
+	const first = "first chunk\n"
+	read := make(chan struct{})
+	gate := func(ctx context.Context, j *job) {
+		j.Write([]byte(first))
+		select {
+		case <-read:
+		case <-ctx.Done():
+		}
+	}
+	c, _ := testServer(t, Config{Workers: 1, gate: gate})
+	st := submitT1(t, c, "alice")
+	got := make(chan error, 1)
+	go func() {
+		resp, err := c.http().Get(c.url("/v1/jobs/" + st.ID + "/stream"))
+		if err != nil {
+			got <- err
+			return
+		}
+		defer resp.Body.Close()
+		buf := make([]byte, len(first))
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			got <- err
+			return
+		}
+		if string(buf) != first {
+			got <- fmt.Errorf("first chunk %q, want %q", buf, first)
+			return
+		}
+		got <- nil
+		io.Copy(io.Discard, resp.Body)
+	}()
+	select {
+	case err := <-got:
+		close(read)
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(read)
+		t.Fatal("the stream delivered nothing while the job ran: written chunks are not flushed")
+	}
+	waitState(t, c, st.ID, StateDone)
+}
+
 // grepMetrics filters a scrape to the lines mentioning substr, for
 // readable failures.
 func grepMetrics(m, substr string) string {

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/imagestore"
 	"repro/internal/journal"
 	"repro/internal/runner"
 )
@@ -67,11 +66,9 @@ type Config struct {
 	// Images is the image cache every job shares (default: a fresh
 	// process-wide cache). The flashabacus facade passes its shared one.
 	Images *cluster.ImageCache
-	// Store optionally backs Images with a persistent image store.
-	Store imagestore.Store
-	// Journal, when set, makes job lifecycle durable: every accept,
-	// dispatch, and terminal transition (with the result bytes for done
-	// jobs) is appended to the journal, and New replays it — completed
+	// Journal, when set, makes job lifecycle durable: every accept and
+	// terminal transition (with the result bytes for done jobs) is
+	// appended to the journal, and New replays it — completed
 	// jobs stay queryable with their journaled output, jobs that were
 	// accepted or running at crash time are re-enqueued. The caller owns
 	// the journal's lifetime and closes it after Close returns.
@@ -167,9 +164,6 @@ const compactSegments = 3
 // New builds a Server and starts its workers. Callers must Close it.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if cfg.Store != nil {
-		cfg.Images.SetStore(cfg.Store)
-	}
 	root := experiments.NewSuiteWithImages(1, cfg.Images)
 	root.Workers = cfg.SimWorkers
 	s := &Server{
@@ -406,8 +400,8 @@ func (s *Server) recoverFromJournal() {
 				e.state, e.errMsg, e.out, e.finished = st, t.Error, t.Output, t.UnixMilli
 			}
 		case journal.Dispatched:
-			// Non-terminal: a dispatched-but-unfinished job re-enqueues
-			// exactly like a queued one.
+			// Written only by older versions, and non-terminal: a
+			// dispatched-but-unfinished job re-enqueues like a queued one.
 		default:
 			st, ok := terminalOf(r.Kind)
 			if !ok {
@@ -502,6 +496,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.code = code
 	r.ResponseWriter.WriteHeader(code)
 }
+
+// Unwrap exposes the underlying writer to http.ResponseController, so
+// handlers can flush through the recorder.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // writeJSON writes v as the response body with the given status.
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -759,7 +757,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("Trailer", "X-Abacus-Job-State, X-Abacus-Job-Error")
-	flusher, _ := w.(http.Flusher)
+	rc := http.NewResponseController(w)
 
 	// A disconnected client never signals the job's cond, so mirror the
 	// request context into a broadcast that wakes the wait loop below.
@@ -788,9 +786,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			sent += len(chunk)
-			if flusher != nil {
-				flusher.Flush()
-			}
+			rc.Flush() // a broken connection fails the next Write
 		}
 		if r.Context().Err() != nil {
 			return
@@ -895,8 +891,6 @@ func (s *Server) execute(j *job) {
 	j.cond.Broadcast()
 	j.mu.Unlock()
 	s.met.jobEvent("dispatched")
-	s.journalAppend(journal.Record{Kind: journal.Dispatched, ID: j.id, Client: j.client,
-		UnixMilli: time.Now().UnixMilli()})
 	s.met.runningDelta(+1)
 	defer s.met.runningDelta(-1)
 

@@ -76,8 +76,8 @@ func ParseServiceChaos(spec string) (*ServiceChaos, error) {
 }
 
 // NewService builds a serving daemon. Unless cfg names its own image
-// cache, the daemon shares the process-wide one, so a warm store or a
-// prior direct run benefits served jobs and vice versa.
+// cache, the daemon shares the process-wide one, so a prior direct run
+// benefits served jobs and vice versa.
 func NewService(cfg ServiceConfig) *Service {
 	if cfg.Images == nil {
 		cfg.Images = sharedImages
