@@ -12,15 +12,18 @@
 //	                       error, request, output
 //
 // A journal is a directory of numbered segments ("00000001.wal", ...).
-// Appends go to the highest-numbered segment and are fsynced before they
-// are acknowledged; past SegmentBytes the writer rotates to a fresh
-// segment. Compact atomically replaces the whole directory's history
-// with a snapshot: the snapshot is written to a temp file, fsynced,
-// renamed into place as a *base* segment (type 1), the directory is
-// fsynced, and only then are the older segments unlinked — a crash at
-// any point leaves either the old history or the new base, never
-// neither. Replay starts at the newest base segment, so a crash between
-// rename and unlink merely leaves dead files that the next Open removes.
+// Appends go to the highest-numbered segment and are durable before they
+// are acknowledged. Concurrent appends share fsyncs (group commit): each
+// writes its frame under the journal's lock, and one appender at a time
+// fsyncs outside it on behalf of every frame written before that fsync
+// began. Past SegmentBytes the writer rotates to a fresh segment.
+// Compact atomically replaces the whole directory's history with a
+// snapshot: the snapshot is written to a temp file, fsynced, renamed
+// into place as a *base* segment (type 1), the directory is fsynced, and
+// only then are the older segments unlinked — a crash at any point
+// leaves either the old history or the new base, never neither. Replay
+// starts at the newest base segment, so a crash between rename and
+// unlink merely leaves dead files that the next Open removes.
 //
 // Replay is truncation-tolerant by construction: a torn tail — a
 // partial frame from a writer killed mid-append, or a frame whose CRC
@@ -77,26 +80,6 @@ const (
 	Failed
 	Cancelled
 )
-
-func (k Kind) String() string {
-	switch k {
-	case Accepted:
-		return "accepted"
-	case Dispatched:
-		return "dispatched"
-	case Done:
-		return "done"
-	case Failed:
-		return "failed"
-	case Cancelled:
-		return "cancelled"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
-
-// Terminal reports whether the kind ends a job's lifecycle.
-func (k Kind) Terminal() bool { return k == Done || k == Failed || k == Cancelled }
 
 func (k Kind) valid() bool { return k >= Accepted && k <= Cancelled }
 
@@ -156,16 +139,35 @@ type Journal struct {
 	f       *os.File
 	seg     int   // active (highest) segment index
 	lowSeg  int   // lowest live segment index
-	size    int64 // active segment size
+	size    int64 // active segment size, counting every written frame
 	total   int64 // bytes across live segments other than the active one
 	segSize map[int]int64
 	opts    Options
 	stats   Stats
 
+	// Group commit. pending holds the frames written since the last
+	// fsync began; syncing is set while one appender, the leader, fsyncs
+	// the active segment outside mu; cond (on mu) wakes the appenders
+	// waiting for that fsync. The active file never changes while
+	// syncing is set or pending holds frames.
+	pending *syncBatch
+	syncing bool
+	cond    sync.Cond
+	// fsync makes the active segment's written frames durable; tests
+	// wrap it to gate or fail a group fsync.
+	fsync func(*os.File) error
+
 	// before and after intercept appends for deterministic fault
 	// injection (see SetHooks).
 	before func(frame []byte) error
 	after  func(appends int64)
+}
+
+// syncBatch is the group of frames one fsync makes durable.
+type syncBatch struct {
+	frames int   // frames written into the group
+	done   bool  // the group's fsync has finished
+	err    error // that fsync's result, shared by every frame in the group
 }
 
 // Open opens (creating if needed) the journal rooted at dir, removes
@@ -178,7 +180,9 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, opts: opts, segSize: map[int]int64{}}
+	j := &Journal{dir: dir, opts: opts, segSize: map[int]int64{},
+		pending: &syncBatch{}, fsync: (*os.File).Sync}
+	j.cond.L = &j.mu
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -270,20 +274,19 @@ func (j *Journal) Stats() Stats {
 	return st
 }
 
-// Append frames, writes, and fsyncs one record to the active segment,
-// rotating past the segment bound. The record is durable when Append
-// returns nil.
+// Append frames and writes one record to the active segment, rotating
+// past the segment bound, and returns once the record is durable.
+// Concurrent appends share fsyncs: the frame is written under the lock,
+// then the appender waits for the first fsync that begins after its
+// write, leading that fsync itself when no other appender is. Every
+// append covered by a failed fsync fails with that fsync's error.
 func (j *Journal) Append(r Record) error {
+	frame := appendFrame(nil, r)
 	j.mu.Lock()
 	if j.f == nil {
 		j.mu.Unlock()
 		return errClosed
 	}
-	body := encodeRecord(r)
-	frame := make([]byte, 0, frameLen+len(body))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, castagnoli))
-	frame = append(frame, body...)
 	if j.before != nil {
 		if err := j.before(frame); err != nil {
 			j.stats.AppendErrors++
@@ -299,15 +302,23 @@ func (j *Journal) Append(r Record) error {
 		j.mu.Unlock()
 		return fmt.Errorf("journal: append: %w", err)
 	}
+	j.size += int64(len(frame))
 	if !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
+		b := j.pending
+		b.frames++
+		for !b.done {
+			if j.syncing {
+				j.cond.Wait()
+			} else {
+				j.leadSync()
+			}
+		}
+		if b.err != nil {
 			j.stats.AppendErrors++
 			j.mu.Unlock()
-			return fmt.Errorf("journal: fsync: %w", err)
+			return fmt.Errorf("journal: fsync: %w", b.err)
 		}
-		j.stats.Fsyncs++
 	}
-	j.size += int64(len(frame))
 	j.stats.Appends++
 	n := j.stats.Appends
 	if j.size > j.opts.SegmentBytes {
@@ -321,8 +332,57 @@ func (j *Journal) Append(r Record) error {
 	return nil
 }
 
-// rotateLocked opens the next-numbered log segment as the append target.
+// leadSync fsyncs the active segment for every frame written so far,
+// releasing mu for the duration; frames written meanwhile join the next
+// group. Called with mu held and no fsync in flight.
+func (j *Journal) leadSync() {
+	b := j.pending
+	j.pending = &syncBatch{}
+	j.syncing = true
+	f := j.f
+	j.mu.Unlock()
+	err := j.fsync(f)
+	j.mu.Lock()
+	j.syncing = false
+	j.stats.Fsyncs++
+	j.settleLocked(b, err)
+}
+
+// settleLocked finishes a group with err and wakes its appenders (and
+// anyone waiting for the in-flight fsync to end).
+func (j *Journal) settleLocked(b *syncBatch, err error) {
+	b.done, b.err = true, err
+	j.cond.Broadcast()
+}
+
+// syncAllLocked waits out an in-flight fsync, then fsyncs any pending
+// frames without releasing mu, so the active file holds no unsynced
+// frame and no fsync is running when it returns. Rotation and Close call
+// it before they let go of the active file.
+func (j *Journal) syncAllLocked() error {
+	for j.syncing {
+		j.cond.Wait()
+	}
+	b := j.pending
+	if b.frames == 0 || j.f == nil {
+		return nil
+	}
+	j.pending = &syncBatch{}
+	err := j.fsync(j.f)
+	j.stats.Fsyncs++
+	j.settleLocked(b, err)
+	return err
+}
+
+// rotateLocked opens the next-numbered log segment as the append
+// target, once every frame written to the current one is durable.
 func (j *Journal) rotateLocked() error {
+	if err := j.syncAllLocked(); err != nil {
+		return err
+	}
+	if j.f == nil || j.size <= j.opts.SegmentBytes {
+		return nil // closed, or another appender rotated while this one waited
+	}
 	if err := j.createSegmentLocked(j.seg+1, segLog); err != nil {
 		return err
 	}
@@ -370,23 +430,30 @@ func (j *Journal) createSegmentLocked(idx, typ int) error {
 }
 
 // Compact atomically replaces the journal's whole history with the live
-// records: they are written to a temp file, fsynced, renamed into place
-// as a base segment, and only after the directory fsync are the older
-// segments unlinked. Replay of a compacted journal starts at the base
-// segment, so a crash anywhere in Compact leaves a replayable journal.
-func (j *Journal) Compact(live []Record) error {
+// records snapshot returns: they are written to a temp file, fsynced,
+// renamed into place as a base segment, and only after the directory
+// fsync are the older segments unlinked. Replay of a compacted journal
+// starts at the base segment, so a crash anywhere in Compact leaves a
+// replayable journal.
+//
+// snapshot runs under the journal's lock, after any in-flight fsync has
+// finished and before any further append, so it must describe the
+// state every record written so far leads to: the base supersedes them,
+// and appends still waiting for their fsync return once the base is
+// durable. snapshot must not call back into the journal.
+func (j *Journal) Compact(snapshot func() []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	for j.syncing {
+		j.cond.Wait()
+	}
 	if j.f == nil {
 		return errClosed
 	}
 	newIdx := j.seg + 1
 	buf := segmentHeader(segBase)
-	for _, r := range live {
-		body := encodeRecord(r)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
-		buf = append(buf, body...)
+	for _, r := range snapshot() {
+		buf = appendFrame(buf, r)
 	}
 	tmp := j.segPath(newIdx) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -414,7 +481,11 @@ func (j *Journal) Compact(live []Record) error {
 		}
 		j.stats.Fsyncs++
 	}
-	// The base is durable; everything before it is now dead history.
+	// The base is durable; everything before it is now dead history, and
+	// the appends waiting on an fsync are covered by it.
+	b := j.pending
+	j.pending = &syncBatch{}
+	j.settleLocked(b, nil)
 	j.f.Close()
 	for idx := j.lowSeg; idx <= j.seg; idx++ {
 		os.Remove(j.segPath(idx))
@@ -443,26 +514,27 @@ func (j *Journal) TearTail() error {
 	if j.f == nil {
 		return errClosed
 	}
-	body := encodeRecord(Record{Kind: Failed, ID: "torn-by-chaos", Error: "deliberately torn final record"})
-	frame := make([]byte, 0, frameLen+len(body))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(body)))
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(body, castagnoli))
-	frame = append(frame, body...)
-	if _, err := j.f.Write(frame[:frameLen+len(body)/2]); err != nil {
+	frame := appendFrame(nil, Record{Kind: Failed, ID: "torn-by-chaos", Error: "deliberately torn final record"})
+	if _, err := j.f.Write(frame[:frameLen+(len(frame)-frameLen)/2]); err != nil {
 		return err
 	}
 	return j.f.Sync()
 }
 
-// Close closes the active segment. Further appends fail.
+// Close fsyncs any frames still waiting for it and closes the active
+// segment. Further appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	serr := j.syncAllLocked()
 	if j.f == nil {
 		return nil
 	}
 	err := j.f.Close()
 	j.f = nil
+	if serr != nil {
+		return fmt.Errorf("journal: fsync: %w", serr)
+	}
 	return err
 }
 
@@ -657,6 +729,14 @@ func scanValidPrefix(path string) (int64, error) {
 }
 
 var errCorruptRecord = errors.New("journal: corrupt record")
+
+// appendFrame appends r's frame — length, CRC-32C, body — to dst.
+func appendFrame(dst []byte, r Record) []byte {
+	body := encodeRecord(r)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(body, castagnoli))
+	return append(dst, body...)
+}
 
 // encodeRecord serializes a record body (without framing).
 func encodeRecord(r Record) []byte {

@@ -255,7 +255,7 @@ func TestCompactReplacesHistory(t *testing.T) {
 		{Kind: Accepted, ID: "j000031", Request: []byte(`{}`)},
 		{Kind: Done, ID: "j000031", Output: []byte("table\n")},
 	}
-	if err := j.Compact(live); err != nil {
+	if err := j.Compact(func() []Record { return live }); err != nil {
 		t.Fatal(err)
 	}
 	st := j.Stats()

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -575,5 +576,77 @@ func TestParseChaos(t *testing.T) {
 		if _, err := ParseChaos(bad); err == nil {
 			t.Errorf("ParseChaos(%q) accepted", bad)
 		}
+	}
+}
+
+// TestCompactionKeepsAcknowledgedAccepts: with segments small enough
+// that compaction runs every few jobs, a crash at any append must find
+// the accept of every acknowledged job on disk. The compaction snapshot
+// is built under the journal's lock, so an accept journaled while it is
+// built cannot fall between the snapshot and the history it replaces.
+func TestCompactionKeepsAcknowledgedAccepts(t *testing.T) {
+	const submitters, each = 8, 80
+	dir := t.TempDir()
+	ctx := context.Background()
+	jl, err := journal.Open(dir, journal.Options{SegmentBytes: 4096, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	acked := map[string]bool{}
+	lost := map[string]bool{}
+	// The before hook runs under the journal's lock, so no append or
+	// compaction changes the directory while it replays it: this is the
+	// journal a crash right now would leave.
+	jl.SetHooks(func([]byte) error {
+		mu.Lock()
+		missing := maps.Clone(acked)
+		mu.Unlock()
+		journal.Replay(dir, func(r journal.Record) error {
+			if r.Kind == journal.Accepted {
+				delete(missing, r.ID)
+			}
+			return nil
+		})
+		mu.Lock()
+		maps.Copy(lost, missing)
+		mu.Unlock()
+		return nil
+	}, nil)
+	// Every job stays retained, so none may leave the journal.
+	s := New(Config{Workers: 2, QueueDepth: submitters * each, RetainJobs: submitters * each, Journal: jl})
+	hs := httptest.NewServer(s)
+	c := &Client{BaseURL: hs.URL, HTTPClient: hs.Client()}
+
+	var wg sync.WaitGroup
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				st, err := c.Submit(ctx, JobRequest{Experiment: "t1", Client: fmt.Sprintf("c%d", w)})
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				mu.Lock()
+				acked[st.ID] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	s.Close()
+	hs.Close()
+	compactions := jl.Stats().Compactions
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if compactions < 10 {
+		t.Fatalf("only %d compactions ran; the test needs many", compactions)
+	}
+	if len(lost) > 0 {
+		t.Fatalf("%d of %d acknowledged accepts were missing from disk at some append, across %d compactions",
+			len(lost), len(acked), compactions)
 	}
 }

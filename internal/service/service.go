@@ -306,8 +306,21 @@ func (s *Server) maybeCompact(force bool) {
 	if !force && jl.Stats().Segments < compactSegments {
 		return
 	}
+	// The snapshot is taken under the journal's lock, so no append can
+	// land between it and the history it replaces: an accept acknowledged
+	// before the compaction is in the snapshot, one after it in the new
+	// base segment. Lock order: journal, then s.mu.
+	if err := jl.Compact(s.liveRecords); err != nil {
+		log.Printf("abacusd: journal compaction failed: %v", err)
+	}
+}
+
+// liveRecords is the journal snapshot of the retained jobs: each one's
+// accept, plus its final record once it is terminal.
+func (s *Server) liveRecords() []journal.Record {
 	var live []journal.Record
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if j == nil {
@@ -342,10 +355,7 @@ func (s *Server) maybeCompact(force bool) {
 		}
 		live = append(live, rec)
 	}
-	s.mu.Unlock()
-	if err := jl.Compact(live); err != nil {
-		log.Printf("abacusd: journal compaction failed: %v", err)
-	}
+	return live
 }
 
 // recoverFromJournal rebuilds job state from the journal at boot:
