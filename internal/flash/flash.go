@@ -4,9 +4,12 @@
 //
 // The unit of address translation is the page group (§4.3): one page from
 // each of the 4 channels × 2 planes of a single die row, 64 KB in total.
-// Timing is modelled with per-die sensing/program occupancy and per-channel
-// bus transfers, so sequential streams pipeline naturally and concurrent
-// kernels contend for the same buses the hardware would serialize on.
+// Every read, program and erase therefore drives all channels at once, and
+// the channels move in lockstep: their buses, and their dies within one die
+// row, always hold identical bookings. Timing is modelled with one bus that
+// stands for every channel's bus and one sensing/program occupancy per die
+// row, so sequential streams pipeline naturally across die rows and
+// concurrent kernels contend for the buses the hardware would serialize on.
 //
 // When Functional is true the backbone stores real page-group payloads, so
 // garbage collection, journaling, and kernel reads can be verified end to
@@ -181,8 +184,12 @@ type Backbone struct {
 	// runs (the large paper-scale sweeps) leave it off to bound memory.
 	Functional bool
 
-	channels []*sim.Pipe     // data bus per channel
-	dies     []*sim.Resource // sensing/program occupancy per (channel, dieRow)
+	// bus is every channel's data bus and dies[row] is every channel's die
+	// in that die row: a group stripes over all channels of one die row, so
+	// each channel books the same request at the same time for the same
+	// duration, and one booking stands for all Geo.Channels of them.
+	bus  *sim.Pipe
+	dies []*sim.Resource
 	// wb drains buffered host writes at the aggregate program rate without
 	// stalling reads: DDR3L "can take over the roles of the traditional
 	// SSD internal cache" (paper §2.2), so data-path programs are absorbed
@@ -225,13 +232,10 @@ func NewBackbone(geo Geometry, tim Timing) (*Backbone, error) {
 		rows:  int64(geo.DieRows()),
 		perCh: int64(geo.PlanesPerDie) * geo.PageSize,
 	}
-	b.channels = make([]*sim.Pipe, geo.Channels)
-	for c := range b.channels {
-		b.channels[c] = sim.NewPipe(fmt.Sprintf("flash-ch%d", c), tim.ChannelBW)
-	}
-	b.dies = make([]*sim.Resource, geo.Channels*geo.DieRows())
+	b.bus = sim.NewPipe("flash-bus", tim.ChannelBW)
+	b.dies = make([]*sim.Resource, geo.DieRows())
 	for i := range b.dies {
-		b.dies[i] = sim.NewResource(fmt.Sprintf("die-%d", i))
+		b.dies[i] = sim.NewResource(fmt.Sprintf("die-row%d", i))
 	}
 	// Aggregate program rate: every die row can program one group (one
 	// multi-plane page per die) per ProgramPage.
@@ -244,13 +248,15 @@ func NewBackbone(geo Geometry, tim Timing) (*Backbone, error) {
 	return b, nil
 }
 
-func (b *Backbone) die(ch, row int) *sim.Resource { return b.dies[ch*b.Geo.DieRows()+row] }
-
-// rowOf returns a group's die row — the only coordinate the timing model
-// needs — without the full divisions of Decompose.
-func (b *Backbone) rowOf(pg PhysGroup) int {
-	if int64(pg)/b.rows >= int64(b.Geo.BlocksPerDie)*int64(b.Geo.PagesPerBlock) {
-		panic(fmt.Sprintf("flash: group %d beyond capacity", pg))
+// RowOfRun returns the die row of pg — the only coordinate the timing
+// model needs — without the full divisions of Decompose, and panics unless
+// all n consecutive groups pg, pg+1, ..., pg+n-1 lie within capacity.
+// Consecutive groups rotate die rows, so group pg+i sits on die row
+// (RowOfRun(pg, n)+i) mod DieRows.
+func (b *Backbone) RowOfRun(pg PhysGroup, n int) int {
+	last := int64(pg) + int64(n) - 1
+	if last/b.rows >= int64(b.Geo.BlocksPerDie)*int64(b.Geo.PagesPerBlock) {
+		panic(fmt.Sprintf("flash: group %d beyond capacity", last))
 	}
 	return int(int64(pg) % b.rows)
 }
@@ -272,27 +278,19 @@ func (b *Backbone) RetryStats() (retries int64, retryTime units.Duration) {
 	return b.retries, b.retryTime
 }
 
-// readGroupRow books one page-group read on the given die row, holding
-// each die for sense (ReadPage plus any injected retry cycles).
-func (b *Backbone) readGroupRow(at sim.Time, row int, sense units.Duration) sim.Time {
-	done := at
-	for ch := 0; ch < b.Geo.Channels; ch++ {
-		_, senseEnd := b.die(ch, row).Reserve(at, sense)
-		_, xferEnd := b.channels[ch].Transfer(senseEnd, b.perCh)
-		if xferEnd > done {
-			done = xferEnd
-		}
-	}
-	b.reads++
-	return done
-}
-
 // ReadGroup books a page-group read requested at time at and returns when
 // the data is available on the channel side. All channels sense in parallel;
 // each channel then moves planes-per-die pages over its bus. An installed
 // ReadRetrier stretches the sense phase by whole ReadPage cycles — wear
 // surfaces as latency, never as a failed read.
 func (b *Backbone) ReadGroup(at sim.Time, pg PhysGroup) sim.Time {
+	return b.ReadGroupOnRow(at, pg, b.RowOfRun(pg, 1))
+}
+
+// ReadGroupOnRow is ReadGroup for a caller that already knows pg's die row
+// (see RowOfRun), so a sequential run pays one capacity check, not one per
+// group.
+func (b *Backbone) ReadGroupOnRow(at sim.Time, pg PhysGroup, row int) sim.Time {
 	sense := b.Tim.ReadPage
 	if b.retrier != nil {
 		if n := b.retrier.Retries(at, pg, b.reads); n > 0 {
@@ -302,22 +300,19 @@ func (b *Backbone) ReadGroup(at sim.Time, pg PhysGroup) sim.Time {
 			b.retryTime += extra
 		}
 	}
-	return b.readGroupRow(at, b.rowOf(pg), sense)
+	_, senseEnd := b.dies[row].Reserve(at, sense)
+	_, done := b.bus.Transfer(senseEnd, b.perCh)
+	b.reads++
+	return done
 }
 
 // ProgramGroup books a page-group program requested at time at and returns
 // when the program completes on all dies. Data moves over each channel bus
 // first, then the dies program in parallel.
 func (b *Backbone) ProgramGroup(at sim.Time, pg PhysGroup) sim.Time {
-	row := b.rowOf(pg)
-	done := at
-	for ch := 0; ch < b.Geo.Channels; ch++ {
-		_, xferEnd := b.channels[ch].Transfer(at, b.perCh)
-		_, progEnd := b.die(ch, row).Reserve(xferEnd, b.Tim.ProgramPage)
-		if progEnd > done {
-			done = progEnd
-		}
-	}
+	row := b.RowOfRun(pg, 1)
+	_, xferEnd := b.bus.Transfer(at, b.perCh)
+	_, done := b.dies[row].Reserve(xferEnd, b.Tim.ProgramPage)
 	b.programs++
 	return done
 }
@@ -334,14 +329,7 @@ func (b *Backbone) ProgramGroupBuffered(at sim.Time, pg PhysGroup) sim.Time {
 
 // EraseSuper books a super-block erase and returns its completion time.
 func (b *Backbone) EraseSuper(at sim.Time, sb SuperBlock) sim.Time {
-	row := int(sb) / b.Geo.BlocksPerDie
-	done := at
-	for ch := 0; ch < b.Geo.Channels; ch++ {
-		_, end := b.die(ch, row).Reserve(at, b.Tim.EraseBlock)
-		if end > done {
-			done = end
-		}
-	}
+	_, done := b.dies[int(sb)/b.Geo.BlocksPerDie].Reserve(at, b.Tim.EraseBlock)
 	b.erases[sb]++
 	if b.Functional {
 		pg, step := b.Geo.GroupSpan(sb)
@@ -490,33 +478,24 @@ func (b *Backbone) Programs() int64 { return b.programs }
 
 // ChannelBusy returns the summed busy time of all channel buses.
 func (b *Backbone) ChannelBusy() units.Duration {
-	var d units.Duration
-	for _, c := range b.channels {
-		d += c.Busy()
-	}
-	return d
+	return b.bus.Busy() * units.Duration(b.Geo.Channels)
 }
 
 // DieBusy returns the summed busy time of all dies, including the die time
 // buffered programs consume while draining (each buffered group programs
 // one die on every channel of its row for ProgramPage).
 func (b *Backbone) DieBusy() units.Duration {
-	d := units.Duration(b.wbPrograms) * b.Tim.ProgramPage * units.Duration(b.Geo.Channels)
+	d := units.Duration(b.wbPrograms) * b.Tim.ProgramPage
 	for _, r := range b.dies {
 		d += r.Busy()
 	}
-	return d
+	return d * units.Duration(b.Geo.Channels)
 }
 
 // BusyUntil returns the latest instant any die, channel, or the write-back
 // drain is booked, which bounds the device-side drain time.
 func (b *Backbone) BusyUntil() sim.Time {
-	t := b.wb.FreeAt()
-	for _, c := range b.channels {
-		if c.FreeAt() > t {
-			t = c.FreeAt()
-		}
-	}
+	t := units.MaxTime(b.wb.FreeAt(), b.bus.FreeAt())
 	for _, r := range b.dies {
 		if r.FreeAt() > t {
 			t = r.FreeAt()

@@ -82,21 +82,27 @@ func (c *Complex) ReadGroup(at sim.Time, pg flash.PhysGroup) sim.Time {
 // ReadGroupsSeq books n device-side reads of the consecutive page groups
 // pg, pg+1, ..., the i'th requested at at+i*stride, and calls ready with
 // each network-side completion time in order. Every reservation is identical
-// to n individual ReadGroup calls — consecutive groups rotate controllers,
-// so the tag index advances by one per group — but the whole contiguous run
-// crosses the visor/controller boundary once instead of once per group.
+// to n individual ReadGroup calls — consecutive groups rotate controllers and
+// die rows, so the tag index and the die row each advance by one per group —
+// but the whole contiguous run crosses the visor/controller boundary once
+// and checks flash capacity once instead of once per group.
 func (c *Complex) ReadGroupsSeq(at sim.Time, stride sim.Duration, pg flash.PhysGroup, n int, ready func(i int, end sim.Time)) {
-	nt := len(c.tags)
+	nt, nr := len(c.tags), c.BB.Geo.DieRows()
 	ti := int(int64(pg) % int64(nt))
+	row := c.BB.RowOfRun(pg, n)
 	gs := c.BB.Geo.GroupSize()
 	for i := 0; i < n; i++ {
 		_, decoded := c.tags[ti].Reserve(at+sim.Duration(i)*stride, c.Cfg.TagService)
-		sensed := c.BB.ReadGroup(decoded, pg+flash.PhysGroup(i))
+		sensed := c.BB.ReadGroupOnRow(decoded, pg+flash.PhysGroup(i), row)
 		_, end := c.srio.Transfer(sensed, gs)
 		ready(i, end)
 		ti++
 		if ti == nt {
 			ti = 0
+		}
+		row++
+		if row == nr {
+			row = 0
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/flash"
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -104,5 +105,45 @@ func TestTagBusyAccumulates(t *testing.T) {
 	c.ReadGroup(0, 1)
 	if c.TagBusy() != 2*c.Cfg.TagService {
 		t.Errorf("tag busy = %d", c.TagBusy())
+	}
+}
+
+// seqRetrier is a pure function of its arguments, as ReadRetrier requires.
+type seqRetrier struct{}
+
+func (seqRetrier) Retries(at sim.Time, pg flash.PhysGroup, seq int64) int {
+	return int((int64(at)/11 + int64(pg) + 2*seq) % 3)
+}
+
+// TestReadGroupsSeqMatchesReadGroup pins ReadGroupsSeq to n individual
+// ReadGroup calls: runs that wrap the tag queues and the die rows, on a
+// backlogged complex, with wear retries charged per group.
+func TestReadGroupsSeqMatchesReadGroup(t *testing.T) {
+	for _, start := range []flash.PhysGroup{0, 5, 13} {
+		a, b := newComplex(t), newComplex(t)
+		a.BB.SetRetrier(seqRetrier{})
+		b.BB.SetRetrier(seqRetrier{})
+		a.ReadGroup(0, 3)
+		b.ReadGroup(0, 3)
+		const n, stride = 37, 3 * units.Microsecond
+		var want []sim.Time
+		for i := 0; i < n; i++ {
+			want = append(want, a.ReadGroup(sim.Time(i)*stride, start+flash.PhysGroup(i)))
+		}
+		got := 0
+		b.ReadGroupsSeq(0, stride, start, n, func(i int, end sim.Time) {
+			if i != got || end != want[i] {
+				t.Errorf("start %d: group %d done %d, want group %d done %d", start, i, end, got, want[got])
+			}
+			got++
+		})
+		if got != n {
+			t.Errorf("start %d: %d completions, want %d", start, got, n)
+		}
+		ra, _ := a.BB.RetryStats()
+		rb, _ := b.BB.RetryStats()
+		if a.BB.BusyUntil() != b.BB.BusyUntil() || a.TagBusy() != b.TagBusy() || a.SRIOBusy() != b.SRIOBusy() || ra != rb {
+			t.Errorf("start %d: state diverged", start)
+		}
 	}
 }

@@ -159,13 +159,6 @@ func NewSeries(bin units.Duration) *Series {
 	return &Series{Bin: bin}
 }
 
-// AddIntervals spreads watts over each interval's span.
-func (s *Series) AddIntervals(ivs []sim.Interval, watts float64) {
-	for _, iv := range ivs {
-		s.AddSpan(iv.Start, iv.End, watts)
-	}
-}
-
 // AddSpan spreads watts over [start, end).
 func (s *Series) AddSpan(start, end sim.Time, watts float64) {
 	if end <= start || watts == 0 {

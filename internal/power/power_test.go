@@ -109,9 +109,10 @@ func TestSeriesEnergyConserved(t *testing.T) {
 	}
 }
 
-func TestSeriesAddIntervals(t *testing.T) {
+func TestSeriesAdjacentSpans(t *testing.T) {
 	s := NewSeries(10)
-	s.AddIntervals([]sim.Interval{{Start: 0, End: 10}, {Start: 10, End: 20}}, 3)
+	s.AddSpan(0, 10, 3)
+	s.AddSpan(10, 20, 3)
 	bins := s.Bins()
 	if len(bins) != 2 || bins[0] != 3 || bins[1] != 3 {
 		t.Errorf("bins = %v", bins)

@@ -75,3 +75,33 @@ func TestTransferUniformMatchesLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestPipeDurationFollowsSize alternates transfer sizes on one pipe, through
+// both Transfer and TransferUniform, and checks every booking against a
+// fresh DurationFor: the pipe's cached duration must never outlive its size.
+func TestPipeDurationFollowsSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	bw := 800 * units.MBps
+	p := NewPipe("p", bw)
+	sizes := []int64{16 * units.KB, 64 * units.KB, 1, 16*units.KB + 1}
+	var at Time
+	for i := 0; i < 200; i++ {
+		nb := sizes[rng.Intn(len(sizes))]
+		d := bw.DurationFor(nb)
+		busy := p.Busy()
+		if rng.Intn(2) == 0 {
+			start, end := p.Transfer(at, nb)
+			if end-start != d {
+				t.Fatalf("step %d: %d-byte transfer took %d, want %d", i, nb, end-start, d)
+			}
+			at = end
+		} else {
+			n := 1 + rng.Intn(4)
+			at = p.TransferUniform(at, 0, n, nb)
+			d *= Duration(n)
+		}
+		if got := p.Busy() - busy; got != d {
+			t.Fatalf("step %d: %d-byte booking added %d busy, want %d", i, nb, got, d)
+		}
+	}
+}

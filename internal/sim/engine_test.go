@@ -161,17 +161,14 @@ func TestResourceReserveAtOrAfter(t *testing.T) {
 func TestResourceIntervalsNeverOverlap(t *testing.T) {
 	f := func(durs []uint8) bool {
 		r := NewResource("p")
-		r.EnableLog(0)
-		at := Time(0)
+		at, prevEnd := Time(0), Time(0)
 		for _, d := range durs {
-			r.Reserve(at, Duration(d))
-			at += Time(d) / 2 // request faster than service to force queueing
-		}
-		log := r.Log()
-		for i := 1; i < len(log); i++ {
-			if log[i].Start < log[i-1].End {
+			start, end := r.Reserve(at, Duration(d))
+			if start < prevEnd || end < start {
 				return false
 			}
+			prevEnd = end
+			at += Time(d) / 2 // request faster than service to force queueing
 		}
 		return true
 	}
@@ -183,13 +180,10 @@ func TestResourceIntervalsNeverOverlap(t *testing.T) {
 func TestResourceBusyEqualsSumOfIntervals(t *testing.T) {
 	f := func(durs []uint8) bool {
 		r := NewResource("p")
-		r.EnableLog(0)
-		for i, d := range durs {
-			r.Reserve(Time(i*3), Duration(d))
-		}
 		var sum Duration
-		for _, iv := range r.Log() {
-			sum += iv.End - iv.Start
+		for i, d := range durs {
+			start, end := r.Reserve(Time(i*3), Duration(d))
+			sum += end - start
 		}
 		return sum == r.Busy()
 	}

@@ -2,14 +2,6 @@ package sim
 
 import "repro/internal/units"
 
-// Interval is a half-open busy span [Start, End) recorded by a Resource or
-// Pipe when interval logging is enabled. Tag carries a model-defined label
-// (for example an LWP id or an energy category) for time-series analysis.
-type Interval struct {
-	Start, End Time
-	Tag        int
-}
-
 // Resource is a serially-reusable unit of hardware (an LWP, a flash die, the
 // Flashvisor core). Work is reserved analytically: Reserve returns the
 // interval the work will occupy given everything reserved before it, FIFO.
@@ -22,17 +14,11 @@ type Resource struct {
 
 	free    Time // next instant the resource is idle
 	busy    Duration
-	logOn   bool
-	logTag  int
-	log     []Interval
 	reserve uint64 // number of reservations
 }
 
 // NewResource returns a named resource that is free at time zero.
 func NewResource(name string) *Resource { return &Resource{Name: name} }
-
-// EnableLog turns on interval logging with the given tag.
-func (r *Resource) EnableLog(tag int) { r.logOn = true; r.logTag = tag }
 
 // Reserve books d units of work requested at time at. It returns the start
 // and end of the busy interval. A non-positive duration returns an empty
@@ -46,9 +32,6 @@ func (r *Resource) Reserve(at Time, d Duration) (start, end Time) {
 	r.free = end
 	r.busy += d
 	r.reserve++
-	if r.logOn {
-		r.log = append(r.log, Interval{Start: start, End: end, Tag: r.logTag})
-	}
 	return start, end
 }
 
@@ -68,11 +51,6 @@ func (r *Resource) ReserveN(at Time, d Duration, n int) (start, end Time) {
 	r.free = end
 	r.busy += Duration(n) * d
 	r.reserve += uint64(n)
-	if r.logOn {
-		for i := 0; i < n; i++ {
-			r.log = append(r.log, Interval{Start: start + Duration(i)*d, End: start + Duration(i+1)*d, Tag: r.logTag})
-		}
-	}
 	return start, end
 }
 
@@ -92,37 +70,42 @@ func (r *Resource) Busy() Duration { return r.busy }
 // Reservations returns how many reservations were made.
 func (r *Resource) Reservations() uint64 { return r.reserve }
 
-// Log returns the recorded busy intervals (nil unless EnableLog was called).
-func (r *Resource) Log() []Interval { return r.log }
-
-// Reset clears all bookings and logs.
-func (r *Resource) Reset() {
-	r.free, r.busy, r.reserve = 0, 0, 0
-	r.log = nil
-}
+// Reset clears all bookings.
+func (r *Resource) Reset() { r.free, r.busy, r.reserve = 0, 0, 0 }
 
 // Pipe is a bandwidth-limited, FIFO transfer channel (a crossbar port, a
 // flash channel bus, the PCIe link). Transfers serialize: each transfer of n
 // bytes occupies the pipe for n/bandwidth.
 type Pipe struct {
 	Name string
-	BW   units.Bandwidth
 	// Latency is a fixed per-transfer latency added before the data moves
 	// (for example a bus turnaround or packet header time). It does not
 	// occupy pipe bandwidth.
 	Latency Duration
 
+	bw    units.Bandwidth
 	res   Resource
 	bytes int64
+	// lastN and lastD memoize the most recent transfer size and its
+	// duration: the hot pipes move the same byte count on almost every
+	// call, and bw never changes after NewPipe.
+	lastN int64
+	lastD Duration
 }
 
 // NewPipe returns a pipe with the given bandwidth and zero fixed latency.
 func NewPipe(name string, bw units.Bandwidth) *Pipe {
-	return &Pipe{Name: name, BW: bw, res: Resource{Name: name}}
+	return &Pipe{Name: name, bw: bw, res: Resource{Name: name}}
 }
 
-// EnableLog turns on interval logging with the given tag.
-func (p *Pipe) EnableLog(tag int) { p.res.EnableLog(tag) }
+// durationFor returns bw.DurationFor(n) for n > 0, recomputing it only when
+// n differs from the previous call's size.
+func (p *Pipe) durationFor(n int64) Duration {
+	if n != p.lastN {
+		p.lastN, p.lastD = n, p.bw.DurationFor(n)
+	}
+	return p.lastD
+}
 
 // Transfer books n bytes requested at time at and returns the interval the
 // data occupies the pipe. Zero-byte transfers return an empty interval.
@@ -130,8 +113,7 @@ func (p *Pipe) Transfer(at Time, n int64) (start, end Time) {
 	if n <= 0 {
 		return at, at
 	}
-	d := p.BW.DurationFor(n)
-	start, end = p.res.Reserve(at+p.Latency, d)
+	start, end = p.res.Reserve(at+p.Latency, p.durationFor(n))
 	p.bytes += n
 	return start, end
 }
@@ -146,21 +128,11 @@ func (p *Pipe) TransferUniform(at Time, stride Duration, n int, nb int64) (end T
 	if n <= 0 {
 		return at
 	}
-	if n == 1 || p.res.logOn {
-		// Preserve exact per-interval logs when logging is on.
-		for i := 0; i < n; i++ {
-			_, end = p.Transfer(at+Duration(i)*stride, nb)
-		}
-		return end
-	}
 	if nb <= 0 {
 		return at + Duration(n-1)*stride
 	}
-	d := p.BW.DurationFor(nb)
+	d := p.durationFor(nb)
 	p.bytes += int64(n) * nb
-	if d <= 0 {
-		return at + Duration(n-1)*stride
-	}
 	first := at + p.Latency
 	last := first + Duration(n-1)*stride
 	nd := Duration(n) * d
@@ -188,9 +160,6 @@ func (p *Pipe) Bytes() int64 { return p.bytes }
 
 // FreeAt returns the next instant the pipe is idle.
 func (p *Pipe) FreeAt() Time { return p.res.FreeAt() }
-
-// Log returns the recorded busy intervals.
-func (p *Pipe) Log() []Interval { return p.res.Log() }
 
 // Reset clears all bookings and counters.
 func (p *Pipe) Reset() { p.res.Reset(); p.bytes = 0 }

@@ -59,14 +59,6 @@ func (b Bandwidth) DurationFor(n int64) Duration {
 	return d
 }
 
-// BytesIn returns how many bytes bandwidth b moves in duration d.
-func (b Bandwidth) BytesIn(d Duration) int64 {
-	if d <= 0 || b <= 0 {
-		return 0
-	}
-	return int64(d) * int64(b) / int64(Second)
-}
-
 // Seconds converts a simulated duration to floating-point seconds.
 func Seconds(d Duration) float64 { return float64(d) / float64(Second) }
 

@@ -62,20 +62,6 @@ func TestDurationForIsMonotonic(t *testing.T) {
 	}
 }
 
-func TestBytesInRoundTrip(t *testing.T) {
-	// Moving the bytes that fit in d must not take longer than d (within
-	// one rounding step).
-	f := func(ms uint16) bool {
-		d := Duration(ms) * Millisecond
-		bw := Bandwidth(3200 * MBps)
-		n := bw.BytesIn(d)
-		return bw.DurationFor(n) <= d+1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCycles(t *testing.T) {
 	if got := Cycles(1000, 1e9); got != 1000 {
 		t.Errorf("1000 cycles at 1GHz = %d ns, want 1000", got)
