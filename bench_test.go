@@ -202,7 +202,7 @@ func BenchmarkFig15aFUSeries(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res["IntraO3"].FUSeries) == 0 {
+		if res["IntraO3"].FU.Len() == 0 {
 			b.Fatal("no FU series")
 		}
 	}
@@ -216,7 +216,7 @@ func BenchmarkFig15bPowerSeries(b *testing.B) {
 			b.Fatal(err)
 		}
 		peak := 0.0
-		for _, v := range res["SIMD"].PowerSeries {
+		for _, v := range res["SIMD"].Power.Sample(1) {
 			if v > peak {
 				peak = v
 			}

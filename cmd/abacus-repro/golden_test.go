@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -96,6 +97,32 @@ func TestGoldenJobsInvariance(t *testing.T) {
 	}
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("output depends on -jobs:\n%s", firstDiff(seq.Bytes(), par.Bytes()))
+	}
+}
+
+// TestGoldenFig15PaperScale pins Fig 15 at paper scale, the one render
+// whose series span hundreds of seconds of simulated time (every other
+// golden runs at -scale 64 or 256, where the series are short). It keeps
+// only the sha256 of the render, in testdata/fig15_scale1.sha256.
+func TestGoldenFig15PaperScale(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(context.Background(), &buf, runConfig{scale: 1, exp: "fig15", jobs: runtime.GOMAXPROCS(0), devices: 1}); err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+	path := filepath.Join("testdata", "fig15_scale1.sha256")
+	if *update {
+		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != strings.TrimSpace(string(want)) {
+		t.Fatalf("fig15 -scale 1 render sha256 %s, want %s", got, strings.TrimSpace(string(want)))
 	}
 }
 

@@ -144,6 +144,9 @@ func resolveFaultPlan(arg string) (string, *faults.Plan, error) {
 // capture a full reproduction byte for byte.
 func run(ctx context.Context, w io.Writer, rc runConfig) error {
 	scale, exp, jobs, devices := rc.scale, rc.exp, rc.jobs, rc.devices
+	if scale < 1 {
+		return fmt.Errorf("-scale %d below 1", scale)
+	}
 	if devices < 1 || devices > core.MaxDevices {
 		return fmt.Errorf("-devices %d outside [1,%d]", devices, core.MaxDevices)
 	}

@@ -50,7 +50,7 @@ func TestSeriesFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.FUSeries) == 0 {
+	if r.FU.Len() == 0 {
 		t.Error("no series collected")
 	}
 }

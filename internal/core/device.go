@@ -657,7 +657,5 @@ func (d *Device) buildSeries(r *stats.Result) {
 			pw.AddSpan(sp.ioStart, sp.ioEnd, sp.ioWatts)
 		}
 	}
-	r.SeriesBin = bin
-	r.FUSeries = fu.Bins()
-	r.PowerSeries = pw.Bins()
+	r.FU, r.Power = fu, pw
 }

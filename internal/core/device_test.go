@@ -340,11 +340,11 @@ func TestSeriesCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.FUSeries) == 0 || len(r.PowerSeries) == 0 {
+	if r.FU.Len() == 0 || r.Power.Len() == 0 {
 		t.Fatal("series not collected")
 	}
 	var peakFU float64
-	for _, v := range r.FUSeries {
+	for _, v := range r.FU.Sample(1) {
 		if v > peakFU {
 			peakFU = v
 		}

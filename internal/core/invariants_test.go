@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/kdt"
+	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -175,5 +177,54 @@ func TestOffloadRejectsBadTables(t *testing.T) {
 	bad := &kdt.Table{Name: ""} // fails validation
 	if err := d.OffloadApp("x", []*kdt.Table{bad}); err == nil {
 		t.Fatal("invalid table accepted")
+	}
+}
+
+// TestSeriesObservationOnly: collecting the Fig. 15 series must not move
+// anything else a run reports. Every mix on every system at -scale 64
+// gives the same Result with and without CollectSeries once the two
+// series are cleared.
+func TestSeriesObservationOnly(t *testing.T) {
+	o := workload.DefaultOptions()
+	o.Scale = 64
+	run := func(sys System, b *workload.Bundle, series bool) *stats.Result {
+		cfg := DefaultConfig(sys)
+		cfg.CollectSeries = series
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range b.Populate {
+			if err := d.PopulateInput(r.Addr, r.Bytes, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, app := range b.Apps {
+			if err := d.OffloadApp(app.Name, app.Tables); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := d.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for n := 1; n <= 3; n++ {
+		b, err := workload.Mix(n, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sys := range Systems {
+			plain := run(sys, b, false)
+			with := run(sys, b, true)
+			if with.FU.Len() == 0 || with.Power.Len() == 0 {
+				t.Fatalf("MX%d/%s: series not collected", n, sys)
+			}
+			with.FU, with.Power = nil, nil
+			if !reflect.DeepEqual(plain, with) {
+				t.Errorf("MX%d/%s: collecting series changed the result", n, sys)
+			}
+		}
 	}
 }

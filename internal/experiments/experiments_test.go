@@ -150,7 +150,7 @@ func TestFig15SeriesProduced(t *testing.T) {
 	}
 	for _, name := range []string{"SIMD", "IntraO3"} {
 		r := res[name]
-		if r == nil || len(r.FUSeries) == 0 || len(r.PowerSeries) == 0 {
+		if r == nil || r.FU.Len() == 0 || r.Power.Len() == 0 {
 			t.Fatalf("%s series missing", name)
 		}
 	}
@@ -164,7 +164,7 @@ func TestFig15SeriesProduced(t *testing.T) {
 		}
 		return m
 	}
-	if maxOf(res["SIMD"].PowerSeries) <= maxOf(res["IntraO3"].PowerSeries) {
+	if maxOf(res["SIMD"].Power.Sample(1)) <= maxOf(res["IntraO3"].Power.Sample(1)) {
 		t.Error("SIMD peak power should exceed IntraO3 (host storage stack engaged)")
 	}
 }

@@ -83,11 +83,11 @@ func List() []Experiment {
 			var b strings.Builder
 			for _, name := range []string{"SIMD", "IntraO3"} {
 				r := res[name]
-				stride := len(r.FUSeries)/24 + 1
+				stride := r.FU.Len()/24 + 1
 				fmt.Fprintln(&b, report.Series("Fig 15a: FU utilization, "+name,
-					int64(r.SeriesBin), r.FUSeries, stride))
+					int64(r.FU.Bin), r.FU.Sample(stride), stride))
 				fmt.Fprintln(&b, report.Series("Fig 15b: power (W), "+name,
-					int64(r.SeriesBin), r.PowerSeries, stride))
+					int64(r.Power.Bin), r.Power.Sample(stride), stride))
 			}
 			return b.String(), nil
 		}},

@@ -143,12 +143,20 @@ func (m *Meter) ByComponent() []Entry {
 	return out
 }
 
-// Series builds a binned power time-series from busy-interval logs: each
+// Series is a binned power time-series built from busy-interval logs: each
 // interval contributes watts to the bins it overlaps, proportionally. It
-// feeds the Fig. 15b power trace.
+// feeds the Fig. 15 traces. Spans are recorded as added and binned only on
+// Sample, so a long run costs one record per span rather than one float per
+// bin.
 type Series struct {
-	Bin  units.Duration
-	bins []float64
+	Bin   units.Duration
+	spans []span
+	n     int // bins covered: one past the last bin any span touches
+}
+
+type span struct {
+	start, end sim.Time
+	watts      float64
 }
 
 // NewSeries creates a series with the given bin width.
@@ -164,24 +172,38 @@ func (s *Series) AddSpan(start, end sim.Time, watts float64) {
 	if end <= start || watts == 0 {
 		return
 	}
-	first := int(start / s.Bin)
-	last := int((end - 1) / s.Bin)
-	for b := first; b <= last; b++ {
-		for b >= len(s.bins) {
-			s.bins = append(s.bins, 0)
-		}
-		bs := sim.Time(b) * s.Bin
-		be := bs + s.Bin
-		ovs, ove := start, end
-		if bs > ovs {
-			ovs = bs
-		}
-		if be < ove {
-			ove = be
-		}
-		s.bins[b] += watts * float64(ove-ovs) / float64(s.Bin)
+	s.spans = append(s.spans, span{start, end, watts})
+	if last := int((end - 1) / s.Bin); last >= s.n {
+		s.n = last + 1
 	}
 }
 
-// Bins returns the average power per bin in watts.
-func (s *Series) Bins() []float64 { return s.bins }
+// Len returns the number of bins the series covers.
+func (s *Series) Len() int { return s.n }
+
+// Sample returns the average power in watts of bins 0, stride, 2*stride, …
+// below Len. Each bin sums its spans' shares in the order they were added,
+// so Sample(1) is the full binned series.
+func (s *Series) Sample(stride int) []float64 {
+	if stride < 1 {
+		panic("power: non-positive sample stride")
+	}
+	out := make([]float64, (s.n+stride-1)/stride)
+	for _, sp := range s.spans {
+		first := int(sp.start / s.Bin)
+		last := int((sp.end - 1) / s.Bin)
+		for b := (first + stride - 1) / stride * stride; b <= last; b += stride {
+			bs := sim.Time(b) * s.Bin
+			be := bs + s.Bin
+			ovs, ove := sp.start, sp.end
+			if bs > ovs {
+				ovs = bs
+			}
+			if be < ove {
+				ove = be
+			}
+			out[b/stride] += sp.watts * float64(ove-ovs) / float64(s.Bin)
+		}
+	}
+	return out
+}

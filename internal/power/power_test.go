@@ -77,8 +77,8 @@ func TestCategoryString(t *testing.T) {
 func TestSeriesSingleSpan(t *testing.T) {
 	s := NewSeries(100)
 	s.AddSpan(0, 100, 10)
-	bins := s.Bins()
-	if len(bins) != 1 || math.Abs(bins[0]-10) > 1e-9 {
+	bins := s.Sample(1)
+	if s.Len() != 1 || len(bins) != 1 || math.Abs(bins[0]-10) > 1e-9 {
 		t.Errorf("bins = %v, want [10]", bins)
 	}
 }
@@ -86,8 +86,8 @@ func TestSeriesSingleSpan(t *testing.T) {
 func TestSeriesProportionalSplit(t *testing.T) {
 	s := NewSeries(100)
 	s.AddSpan(50, 150, 10) // half in bin 0, half in bin 1
-	bins := s.Bins()
-	if len(bins) != 2 || math.Abs(bins[0]-5) > 1e-9 || math.Abs(bins[1]-5) > 1e-9 {
+	bins := s.Sample(1)
+	if s.Len() != 2 || len(bins) != 2 || math.Abs(bins[0]-5) > 1e-9 || math.Abs(bins[1]-5) > 1e-9 {
 		t.Errorf("bins = %v, want [5 5]", bins)
 	}
 }
@@ -101,7 +101,7 @@ func TestSeriesEnergyConserved(t *testing.T) {
 		want += 2.5 * float64(sp.b-sp.a)
 	}
 	var got float64
-	for _, w := range s.Bins() {
+	for _, w := range s.Sample(1) {
 		got += w * 77
 	}
 	if math.Abs(got-want) > 1e-6 {
@@ -113,8 +113,8 @@ func TestSeriesAdjacentSpans(t *testing.T) {
 	s := NewSeries(10)
 	s.AddSpan(0, 10, 3)
 	s.AddSpan(10, 20, 3)
-	bins := s.Bins()
-	if len(bins) != 2 || bins[0] != 3 || bins[1] != 3 {
+	bins := s.Sample(1)
+	if s.Len() != 2 || len(bins) != 2 || bins[0] != 3 || bins[1] != 3 {
 		t.Errorf("bins = %v", bins)
 	}
 }

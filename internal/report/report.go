@@ -77,15 +77,16 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Series renders a sampled time series (Fig. 15): every stride-th bin.
-func Series(title string, binNs int64, values []float64, stride int) string {
+// Series renders a sampled time series (Fig. 15): samples[k] is the value
+// of bin k*stride, labelled with that bin's start time.
+func Series(title string, binNs int64, samples []float64, stride int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", title)
 	if stride < 1 {
 		stride = 1
 	}
-	for i := 0; i < len(values); i += stride {
-		fmt.Fprintf(&b, "%8.1fus  %8.2f\n", float64(int64(i)*binNs)/1e3, values[i])
+	for k, v := range samples {
+		fmt.Fprintf(&b, "%8.1fus  %8.2f\n", float64(int64(k*stride)*binNs)/1e3, v)
 	}
 	return b.String()
 }

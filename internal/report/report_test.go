@@ -41,16 +41,19 @@ func TestTableNoHeader(t *testing.T) {
 }
 
 func TestSeries(t *testing.T) {
-	out := Series("power", 1000, []float64{1, 2, 3, 4}, 2)
+	out := Series("power", 1000, []float64{1, 3}, 2) // bins 0 and 2
 	if !strings.Contains(out, "== power ==") {
 		t.Error("title missing")
 	}
 	if strings.Count(out, "\n") != 3 { // title + 2 sampled points
-		t.Errorf("stride not applied: %q", out)
+		t.Errorf("sample count wrong: %q", out)
+	}
+	if !strings.Contains(out, "     2.0us      3.00\n") {
+		t.Errorf("stride not applied to labels: %q", out)
 	}
 	// Stride below one is clamped.
 	all := Series("p", 1000, []float64{1, 2}, 0)
-	if strings.Count(all, "\n") != 3 {
+	if strings.Count(all, "\n") != 3 || !strings.Contains(all, "     1.0us      2.00\n") {
 		t.Errorf("clamped stride wrong: %q", all)
 	}
 }

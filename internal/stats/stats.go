@@ -40,10 +40,9 @@ type Result struct {
 	SSDTime   units.Duration
 	StackTime units.Duration
 
-	// Time series for Fig. 15 (nil unless collection was enabled).
-	SeriesBin   units.Duration
-	FUSeries    []float64
-	PowerSeries []float64
+	// Time series for Fig. 15 (nil unless collection was enabled): busy
+	// functional units and watts, binned at each series' Bin.
+	FU, Power *power.Series
 
 	// SwitchUtils breaks worker utilization down by host-side PCIe switch
 	// (nil unless the run used a labeled multi-switch topology), in the

@@ -177,8 +177,8 @@ type Options struct {
 func DefaultOptions() Options { return Options{Scale: 1, ScreensPerMB: 8} }
 
 func (o Options) normalize() (Options, error) {
-	if o.Scale <= 0 {
-		o.Scale = 1
+	if o.Scale < 1 {
+		return o, fmt.Errorf("workload: scale %d below 1", o.Scale)
 	}
 	if o.ScreensPerMB == 0 {
 		o.ScreensPerMB = 8

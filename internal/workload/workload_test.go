@@ -292,8 +292,13 @@ func TestSensitivityEdges(t *testing.T) {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	if _, err := Homogeneous("ATAX", Options{ScreensPerMB: 100}); err == nil {
+	if _, err := Homogeneous("ATAX", Options{Scale: 1, ScreensPerMB: 100}); err == nil {
 		t.Error("absurd screen count accepted")
+	}
+	for _, scale := range []int64{0, -4} {
+		if _, err := Homogeneous("ATAX", Options{Scale: scale, ScreensPerMB: 8}); err == nil {
+			t.Errorf("scale %d accepted", scale)
+		}
 	}
 	if _, err := Homogeneous("NOPE", DefaultOptions()); err == nil {
 		t.Error("unknown app accepted")
