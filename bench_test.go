@@ -39,7 +39,9 @@ func BenchmarkTable2Workloads(b *testing.B) {
 
 func BenchmarkFig3bThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig3Sensitivity(context.Background(), benchScale, 1)
+		s := experiments.NewSuite(benchScale)
+		s.Workers = 1
+		points, err := s.Fig3Points(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +55,9 @@ func BenchmarkFig3bThroughput(b *testing.B) {
 
 func BenchmarkFig3cUtilization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig3Sensitivity(context.Background(), benchScale, 1)
+		s := experiments.NewSuite(benchScale)
+		s.Workers = 1
+		points, err := s.Fig3Points(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +259,7 @@ func BenchmarkFig16bBigdataEnergy(b *testing.B) {
 // N× up to the longest single cell); the figure renders afterwards are
 // cache reads either way.
 func benchmarkSuitePrewarm(b *testing.B, workers int) {
-	jobs := experiments.CellsFor(experiments.CachedExperimentIDs)
+	jobs := experiments.NewSuite(benchScale).CellsFor(experiments.IDs())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSuite(benchScale)
@@ -278,7 +282,9 @@ func BenchmarkSuitePrewarmParallel(b *testing.B) {
 func BenchmarkFig3SensitivityParallel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3Sensitivity(context.Background(), benchScale, runtime.GOMAXPROCS(0)); err != nil {
+		s := experiments.NewSuite(benchScale)
+		s.Workers = runtime.GOMAXPROCS(0)
+		if _, err := s.Fig3Points(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,11 +41,6 @@ import (
 	"repro/internal/faults"
 )
 
-// ids lists the experiment ids in presentation order. The registry
-// itself lives in internal/experiments so the serving daemon (abacusd)
-// renders exactly the bytes this command prints.
-func ids() []string { return experiments.IDs() }
-
 func main() {
 	scale := flag.Int64("scale", 16, "divide Table 2 input sizes by this factor (1 = paper scale)")
 	exp := flag.String("experiment", "all", "experiment id or 'all' (see -list)")
@@ -60,7 +55,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println(strings.Join(ids(), "\n"))
+		fmt.Println(strings.Join(experiments.IDs(), "\n"))
 		return
 	}
 

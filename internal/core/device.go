@@ -199,9 +199,6 @@ func build(cfg Config, img *Image) (*Device, error) {
 // Visor exposes the Flashvisor for verification and tooling.
 func (d *Device) Visor() *flashvisor.Visor { return d.visor }
 
-// Host exposes the baseline host model for verification and tooling.
-func (d *Device) Host() *host.Host { return d.hostm }
-
 // InstallFlashRetrier installs a deterministic wear model on the flash
 // backbone: every page-group read pays the model's extra sensing
 // cycles, surfacing as latency in the storengine path. Install before
@@ -291,9 +288,6 @@ func (d *Device) finishOffload(app *kernel.App, rec offloadedApp) {
 }
 
 // scheduler context implementation.
-
-// Now returns the current simulated time.
-func (d *Device) Now() sim.Time { return d.eng.Now() }
 
 // Workers returns the compute-LWP count.
 func (d *Device) Workers() int { return d.workers }

@@ -9,8 +9,12 @@ import (
 	"repro/internal/core"
 )
 
+// cellsOf lists one experiment's cells on an uncapped suite with the
+// default fault scenarios.
+func cellsOf(id string) []Job { return NewSuite(16).CellsFor([]string{id}) }
+
 func TestClusterCellsShape(t *testing.T) {
-	cells := Cells("cluster")
+	cells := cellsOf("cluster")
 	if cells == nil {
 		t.Fatal("cluster experiment has no cells")
 	}
@@ -46,14 +50,14 @@ func TestSuiteCellsForCapsDevices(t *testing.T) {
 			t.Errorf("cell %s exceeds the 2-device cap", j)
 		}
 	}
-	// Non-cluster ids pass through unchanged, and the free function keeps
+	// Non-cluster ids pass through unchanged, and an uncapped suite keeps
 	// the full sweep.
-	if got, want := len(s.CellsFor([]string{"fig15"})), len(Cells("fig15")); got != want {
+	if got, want := len(s.CellsFor([]string{"fig15"})), len(cellsOf("fig15")); got != want {
 		t.Errorf("fig15 cells %d, want %d", got, want)
 	}
-	full := CellsFor([]string{"cluster"})
-	if len(full) != len(Cells("cluster")) {
-		t.Errorf("free CellsFor filtered cluster cells")
+	workloads := len(ClusterApps) + len(ClusterMixes)
+	if full := cellsOf("cluster"); len(full) != workloads*(1+(len(ClusterDeviceCounts)-1)*len(cluster.Policies)) {
+		t.Errorf("uncapped suite filtered cluster cells: %d", len(full))
 	}
 }
 
@@ -74,7 +78,7 @@ func TestClusterJobString(t *testing.T) {
 func TestClusterScalingMonotonicAtDefaultScale(t *testing.T) {
 	s := NewSuite(16)
 	ctx := context.Background()
-	if err := s.Prewarm(ctx, Cells("cluster")); err != nil {
+	if err := s.Prewarm(ctx, s.CellsFor([]string{"cluster"})); err != nil {
 		t.Fatal(err)
 	}
 	for _, base := range clusterBases() {

@@ -17,7 +17,7 @@ import (
 // order.
 func TestPrewarmParallelMatchesSequential(t *testing.T) {
 	ctx := context.Background()
-	jobs := CellsFor([]string{"fig12"})
+	jobs := cellsOf("fig12")
 	if len(jobs) != 10 {
 		t.Fatalf("fig12 needs %d cells, want 10", len(jobs))
 	}
@@ -101,12 +101,13 @@ func TestPrewarmFirstErrorWins(t *testing.T) {
 func TestCellsForDedupAndDeterminism(t *testing.T) {
 	// fig10a and fig11a consume the identical cell set; the union must not
 	// double it.
-	once := CellsFor([]string{"fig10a"})
-	both := CellsFor([]string{"fig10a", "fig11a"})
+	s := NewSuite(16)
+	once := s.CellsFor([]string{"fig10a"})
+	both := s.CellsFor([]string{"fig10a", "fig11a"})
 	if len(once) == 0 || len(once) != len(both) {
 		t.Fatalf("dedup failed: %d cells alone vs %d unioned", len(once), len(both))
 	}
-	all := CellsFor(CachedExperimentIDs)
+	all := s.CellsFor(IDs())
 	seen := map[Job]bool{}
 	for _, j := range all {
 		if seen[j] {
@@ -114,7 +115,7 @@ func TestCellsForDedupAndDeterminism(t *testing.T) {
 		}
 		seen[j] = true
 	}
-	again := CellsFor(CachedExperimentIDs)
+	again := s.CellsFor(IDs())
 	if len(again) != len(all) {
 		t.Fatal("CellsFor not deterministic across calls")
 	}
@@ -124,20 +125,20 @@ func TestCellsForDedupAndDeterminism(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"t1", "t2", "mixes", "bogus"} {
-		if c := Cells(id); c != nil {
-			t.Errorf("Cells(%q) = %d jobs, want none", id, len(c))
+		if c := cellsOf(id); c != nil {
+			t.Errorf("cells of %q = %d jobs, want none", id, len(c))
 		}
 	}
 	// The sweep and series experiments are ordinary cells now: one Prewarm
 	// list covers a full reproduction with no special-case warm phases.
-	if c := Cells("fig3b"); len(c) != 48 {
-		t.Errorf("Cells(fig3b) = %d jobs, want 48", len(c))
+	if c := cellsOf("fig3b"); len(c) != 48 {
+		t.Errorf("cells of fig3b = %d jobs, want 48", len(c))
 	}
-	if c := Cells("fig3c"); len(c) != 48 {
-		t.Errorf("Cells(fig3c) = %d jobs, want 48", len(c))
+	if c := cellsOf("fig3c"); len(c) != 48 {
+		t.Errorf("cells of fig3c = %d jobs, want 48", len(c))
 	}
-	if c := Cells("fig15"); len(c) != 2 {
-		t.Errorf("Cells(fig15) = %d jobs, want 2", len(c))
+	if c := cellsOf("fig15"); len(c) != 2 {
+		t.Errorf("cells of fig15 = %d jobs, want 2", len(c))
 	}
 }
 

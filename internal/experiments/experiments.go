@@ -1,7 +1,7 @@
-// Package experiments contains one driver per table and figure of the
-// paper's evaluation (§3.1 and §5). cmd/abacus-repro, bench_test.go, and
-// EXPERIMENTS.md all regenerate their numbers through these functions, so
-// every reported row has exactly one source.
+// Package experiments holds one record per table and figure of the
+// paper's evaluation (§3.1 and §5), listed by List. cmd/abacus-repro,
+// abacusd and bench_test.go all regenerate their numbers through these
+// records, so every reported row has exactly one source.
 //
 // A Suite caches the (workload, system) device runs the figures share.
 // The cache is bounded, safe for concurrent use, and single-flight: when
@@ -172,6 +172,18 @@ type Suite struct {
 	// card counts and policies reuse one probe simulation per (card
 	// class, instance). Results are byte-identical to uncached runs.
 	images *cluster.ImageCache
+
+	// listed, when non-nil, holds the finished cells experiment exp's
+	// record lists, and Run answers only from it: the view a render runs
+	// against (see view).
+	exp    string
+	listed map[Job]cell
+}
+
+// cell is one finished Run: its result or its error.
+type cell struct {
+	res *stats.Result
+	err error
 }
 
 // NewSuite returns an empty suite at the given scale.
@@ -184,9 +196,6 @@ func NewSuite(scale int64) *Suite {
 // one, so its cells fork warm device images other suites built. A nil cache
 // keeps the suite self-contained, exactly like NewSuite.
 func NewSuiteWithImages(scale int64, images *cluster.ImageCache) *Suite {
-	if scale < 1 {
-		scale = 1
-	}
 	if images == nil {
 		images = cluster.NewImageCache()
 	}
@@ -202,9 +211,6 @@ func NewSuiteWithImages(scale int64, images *cluster.ImageCache) *Suite {
 // and image caches and Workers, so knob combinations reuse the cells
 // they have in common.
 func (s *Suite) With(scale int64, maxDevices int, scenarios []FaultScenario) *Suite {
-	if scale < 1 {
-		scale = 1
-	}
 	return &Suite{
 		Scale:      scale,
 		Workers:    s.Workers,
@@ -213,6 +219,24 @@ func (s *Suite) With(scale int64, maxDevices int, scenarios []FaultScenario) *Su
 		cells:      s.cells,
 		images:     s.images,
 	}
+}
+
+// view runs (or reads from the cache) the cells experiment id lists, in
+// order, and returns s restricted to them: it shares s's knobs and fault
+// scenarios, and its Run answers from those results and fails any lookup
+// of another cell instead of simulating it. A failed cell is kept as its
+// error for the render to report; a cancellation ends the view.
+func (s *Suite) view(ctx context.Context, id string, cells []Job) (*Suite, error) {
+	v := s.With(s.Scale, s.MaxDevices, nil)
+	v.faults, v.exp, v.listed = s.faultScenarios(), id, make(map[Job]cell, len(cells))
+	for _, j := range cells {
+		res, err := s.Run(ctx, j)
+		if err != nil && runner.IsCancellation(err) {
+			return nil, err
+		}
+		v.listed[j] = cell{res, err}
+	}
+	return v, nil
 }
 
 // ImageStats returns the suite's image/probe cache counters.
@@ -311,8 +335,16 @@ func RunTopology(ctx context.Context, sys core.System, topo cluster.Topology, po
 // Run returns job j's result, simulating it on first request. Concurrent
 // requests for the same cell share one simulation. A run that fails only
 // because its context was cancelled is evicted, so a later call with a
-// live context retries instead of replaying the stale cancellation.
+// live context retries instead of replaying the stale cancellation. On a
+// render's view, a cell the experiment does not list is an error.
 func (s *Suite) Run(ctx context.Context, j Job) (*stats.Result, error) {
+	if s.listed != nil {
+		c, ok := s.listed[j]
+		if !ok {
+			return nil, fmt.Errorf("experiments: %s does not list cell %s", s.exp, j)
+		}
+		return c.res, c.err
+	}
 	key := cellKey{scale: s.Scale, job: j}
 	var plan *faults.Plan
 	if j.Kind == KindFault {
@@ -430,14 +462,6 @@ func (s *Suite) Bigdata(ctx context.Context, name string, sys core.System) (*sta
 	return s.Run(ctx, Job{Kind: KindBigdata, Name: name, Sys: sys})
 }
 
-// CachedExperimentIDs lists the abacus-repro experiment ids whose device
-// runs flow through the Suite cache — the ones Cells enumerates jobs for.
-var CachedExperimentIDs = []string{
-	"fig3b", "fig3c", "fig3d", "fig3e", "fig10a", "fig10b", "fig11a", "fig11b",
-	"fig12", "fig13a", "fig13b", "fig14a", "fig14b", "fig15", "fig16a", "fig16b",
-	"cluster", "topology", "faults",
-}
-
 // Cluster scaling study shape: representative workloads (a data-intensive
 // and a compute-intensive PolyBench application plus one heterogeneous
 // mix), the device-count sweep, and the system the cards run.
@@ -461,14 +485,14 @@ func clusterBases() []Job {
 	return out
 }
 
-// clusterCells enumerates the scaling cells for the given device counts.
-// A one-card cluster is policy-independent (it is the plain single-device
-// run), so devices=1 contributes one shared cell per workload instead of
-// one per policy.
-func clusterCells(counts []int) []Job {
+// clusterCells enumerates the scaling cells for the suite's capped device
+// counts. A one-card cluster is policy-independent (it is the plain
+// single-device run), so devices=1 contributes one shared cell per
+// workload instead of one per policy.
+func clusterCells(s *Suite) []Job {
 	var out []Job
 	for _, base := range clusterBases() {
-		for _, d := range counts {
+		for _, d := range s.deviceCounts() {
 			if d <= 1 {
 				j := base
 				j.Devices = 1
@@ -499,7 +523,7 @@ var (
 
 // topologyCells enumerates the heterogeneous-topology sweep in
 // (preset, cards, policy) order — the order the render's rows consume.
-func topologyCells() []Job {
+func topologyCells(*Suite) []Job {
 	var out []Job
 	for _, preset := range TopologyPresets {
 		for _, n := range TopologyCards {
@@ -560,11 +584,12 @@ func (s *Suite) faultDevices() int {
 	return d
 }
 
-// faultCells enumerates the study in (scenario, policy) order — the
-// order the render's rows consume.
-func faultCells(scs []scenario, devices int) []Job {
+// faultCells enumerates the study over the suite's scenarios and card
+// count in (scenario, policy) order — the order the render's rows consume.
+func faultCells(s *Suite) []Job {
+	devices := s.faultDevices()
 	var out []Job
-	for _, sc := range scs {
+	for _, sc := range s.faultScenarios() {
 		for _, p := range cluster.Policies {
 			out = append(out, Job{
 				Kind: KindFault, Mix: FaultMix, Sys: ClusterSys,
@@ -595,7 +620,7 @@ func (s *Suite) deviceCounts() []int {
 
 // sensitivityCells enumerates the Fig. 3 sweep in (cores, ratio) order —
 // the order the sweep's points render in.
-func sensitivityCells() []Job {
+func sensitivityCells(*Suite) []Job {
 	var out []Job
 	for cores := 1; cores <= 8; cores++ {
 		for _, pct := range SerialRatios {
@@ -605,110 +630,61 @@ func sensitivityCells() []Job {
 	return out
 }
 
-// seriesSystems are the Fig. 15 trace systems, in render order.
-var seriesSystems = []core.System{core.SIMD, core.IntraO3}
-
-func seriesCells() []Job {
-	var out []Job
-	for _, sys := range seriesSystems {
-		out = append(out, Job{Kind: KindSeries, Mix: 1, Sys: sys})
-	}
-	return out
-}
-
-// Cells enumerates the cached device runs one experiment needs, in the
-// order the experiment consumes them. Experiments that do not use the
-// cache (t1, t2, mixes) return nil.
-func Cells(id string) []Job {
-	homogAll := func(names []string, kind Kind) []Job {
-		var out []Job
-		for _, name := range names {
-			for _, sys := range core.Systems {
-				out = append(out, Job{Kind: kind, Name: name, Sys: sys})
-			}
-		}
-		return out
-	}
-	hetAll := func() []Job {
-		var out []Job
-		for n := 1; n <= workload.MixCount; n++ {
-			for _, sys := range core.Systems {
-				out = append(out, Job{Kind: KindHeterogeneous, Mix: n, Sys: sys})
-			}
-		}
-		return out
-	}
-	switch id {
-	case "fig3b", "fig3c":
-		return sensitivityCells()
-	case "fig15":
-		return seriesCells()
-	case "fig3d", "fig3e":
-		var out []Job
-		for _, name := range Fig3Apps {
-			out = append(out, Job{Kind: KindHomogeneous, Name: name, Sys: core.SIMD})
-		}
-		return out
-	case "fig10a", "fig11a", "fig13a", "fig14a":
-		return homogAll(workload.Names(), KindHomogeneous)
-	case "fig10b", "fig11b", "fig13b", "fig14b":
-		return hetAll()
-	case "fig12":
-		var out []Job
-		for _, sys := range core.Systems {
-			out = append(out, Job{Kind: KindHomogeneous, Name: "ATAX", Sys: sys})
-		}
-		for _, sys := range core.Systems {
-			out = append(out, Job{Kind: KindHeterogeneous, Mix: 1, Sys: sys})
-		}
-		return out
-	case "fig16a", "fig16b":
-		return homogAll(workload.BigdataNames(), KindBigdata)
-	case "cluster":
-		return clusterCells(ClusterDeviceCounts)
-	case "topology":
-		return topologyCells()
-	case "faults":
-		return faultCells(defaultScenarios(), FaultDevices)
-	}
-	return nil
-}
-
-// CellsFor enumerates the union of cells the listed experiments need,
-// deduplicated, preserving first-appearance order — a deterministic job
-// list for Prewarm.
-func CellsFor(ids []string) []Job {
-	return cellsFor(ids, Cells)
-}
-
-// CellsFor is the suite-aware variant of the free function: cluster and
-// fault cells honour the suite's MaxDevices cap and fault scenarios, so
-// a prewarm warms exactly the cells the suite's renders will read.
-func (s *Suite) CellsFor(ids []string) []Job {
-	return cellsFor(ids, func(id string) []Job {
-		switch id {
-		case "cluster":
-			return clusterCells(s.deviceCounts())
-		case "faults":
-			return faultCells(s.faultScenarios(), s.faultDevices())
-		}
-		return Cells(id)
-	})
-}
-
-func cellsFor(ids []string, cells func(string) []Job) []Job {
-	seen := map[Job]bool{}
-	var out []Job
-	for _, id := range ids {
-		for _, j := range cells(id) {
-			if !seen[j] {
-				seen[j] = true
-				out = append(out, j)
-			}
+// onSystems runs each workload template on every listed system, in
+// (workload, system) order: the rows of the per-system tables.
+func onSystems(systems []core.System, bases ...Job) []Job {
+	out := make([]Job, 0, len(bases)*len(systems))
+	for _, b := range bases {
+		for _, sys := range systems {
+			b.Sys = sys
+			out = append(out, b)
 		}
 	}
 	return out
 }
+
+// named returns one kind template per workload name.
+func named(kind Kind, names []string) []Job {
+	out := make([]Job, len(names))
+	for i, name := range names {
+		out[i] = Job{Kind: kind, Name: name}
+	}
+	return out
+}
+
+// seriesCells are the Fig. 15 trace runs, in render order.
+func seriesCells(*Suite) []Job {
+	return onSystems([]core.System{core.SIMD, core.IntraO3}, Job{Kind: KindSeries, Mix: 1})
+}
+
+// fig3Cells are the Fig. 3d/3e breakdown runs, on the SIMD system.
+func fig3Cells(*Suite) []Job {
+	return onSystems([]core.System{core.SIMD}, named(KindHomogeneous, Fig3Apps)...)
+}
+
+// homogBases, mixBases and bigdataBases are the per-system tables' row
+// templates: every Table 2 application, MX1..MXn, and every §5.6
+// application. A table's cells are its rows on every system.
+func homogBases() []Job   { return named(KindHomogeneous, workload.Names()) }
+func bigdataBases() []Job { return named(KindBigdata, workload.BigdataNames()) }
+
+func mixBases() []Job {
+	bases := make([]Job, workload.MixCount)
+	for i := range bases {
+		bases[i] = Job{Kind: KindHeterogeneous, Mix: i + 1}
+	}
+	return bases
+}
+
+// fig12Bases are the Fig. 12 CDF rows: ATAX, then MX1.
+func fig12Bases() []Job {
+	return []Job{{Kind: KindHomogeneous, Name: "ATAX"}, {Kind: KindHeterogeneous, Mix: 1}}
+}
+
+func homogCells(*Suite) []Job   { return onSystems(core.Systems, homogBases()...) }
+func mixCells(*Suite) []Job     { return onSystems(core.Systems, mixBases()...) }
+func bigdataCells(*Suite) []Job { return onSystems(core.Systems, bigdataBases()...) }
+func fig12Cells(*Suite) []Job   { return onSystems(core.Systems, fig12Bases()...) }
 
 // Table1 renders the hardware specification (Table 1).
 func Table1() *report.Table {
@@ -766,23 +742,12 @@ type Fig3Point struct {
 	Util       float64 // [0,1]
 }
 
-// Fig3Sensitivity sweeps cores 1–8 × serial ratio 0–50% on the
-// conventional system (Fig. 3b and 3c share these runs). The 48 cells are
-// ordinary suite jobs, so they run through a pool of at most workers
-// goroutines (0 means GOMAXPROCS); the returned points are ordered by
-// (cores, ratio) regardless of completion order.
-func Fig3Sensitivity(ctx context.Context, scale int64, workers int) ([]Fig3Point, error) {
-	s := NewSuite(scale)
-	s.Workers = workers
-	return s.Fig3Points(ctx)
-}
-
 // Fig3Points returns the sensitivity sweep. Its device runs are ordinary
 // cells, prewarmed through the pool and then assembled, so Fig. 3b and 3c
 // (and racing callers) share one set of simulations, and a Prewarm that
 // included fig3b's cells makes this pure assembly.
 func (s *Suite) Fig3Points(ctx context.Context) ([]Fig3Point, error) {
-	jobs := sensitivityCells()
+	jobs := sensitivityCells(s)
 	if err := s.Prewarm(ctx, jobs); err != nil {
 		return nil, err
 	}
@@ -871,60 +836,55 @@ func (s *Suite) Fig3e(ctx context.Context) (*report.Table, error) {
 	return t, nil
 }
 
-// Fig10a renders homogeneous throughput for all five systems.
-func (s *Suite) Fig10a(ctx context.Context) (*report.Table, error) {
-	t := &report.Table{Title: "Fig 10a: homogeneous throughput (MB/s)",
-		Header: append([]string{"app"}, systemNames()...)}
-	for _, name := range workload.Names() {
-		row := []interface{}{name}
+// systemTable renders one row per workload template and one column per
+// system, each entry val of that cell's result.
+func (s *Suite) systemTable(ctx context.Context, title, first string, bases []Job,
+	val func(*stats.Result) float64) (*report.Table, error) {
+	t := &report.Table{Title: title, Header: append([]string{first}, systemNames()...)}
+	for _, b := range bases {
+		row := []interface{}{b.workloadName()}
 		for _, sys := range core.Systems {
-			r, err := s.Homogeneous(ctx, name, sys)
+			b.Sys = sys
+			r, err := s.Run(ctx, b)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, fmt.Sprintf("%.1f", r.ThroughputMBps()))
+			row = append(row, fmt.Sprintf("%.1f", val(r)))
 		}
 		t.Add(row...)
 	}
 	return t, nil
+}
+
+// Fig10a renders homogeneous throughput for all five systems.
+func (s *Suite) Fig10a(ctx context.Context) (*report.Table, error) {
+	return s.systemTable(ctx, "Fig 10a: homogeneous throughput (MB/s)", "app", homogBases(), (*stats.Result).ThroughputMBps)
 }
 
 // Fig10b renders heterogeneous throughput for all five systems.
 func (s *Suite) Fig10b(ctx context.Context) (*report.Table, error) {
-	t := &report.Table{Title: "Fig 10b: heterogeneous throughput (MB/s)",
-		Header: append([]string{"mix"}, systemNames()...)}
-	for n := 1; n <= workload.MixCount; n++ {
-		row := []interface{}{fmt.Sprintf("MX%d", n)}
-		for _, sys := range core.Systems {
-			r, err := s.Heterogeneous(ctx, n, sys)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.1f", r.ThroughputMBps()))
-		}
-		t.Add(row...)
-	}
-	return t, nil
+	return s.systemTable(ctx, "Fig 10b: heterogeneous throughput (MB/s)", "mix", mixBases(), (*stats.Result).ThroughputMBps)
 }
 
 // latTable renders Fig. 11's min/avg/max latencies normalized to SIMD.
-func (s *Suite) latTable(title string, names []string,
-	get func(string, core.System) (*stats.Result, error)) (*report.Table, error) {
+func (s *Suite) latTable(ctx context.Context, title string, bases []Job) (*report.Table, error) {
 	t := &report.Table{Title: title,
 		Header: []string{"workload", "system", "min", "avg", "max"}}
-	for _, name := range names {
-		base, err := get(name, core.SIMD)
+	for _, b := range bases {
+		b.Sys = core.SIMD
+		base, err := s.Run(ctx, b)
 		if err != nil {
 			return nil, err
 		}
 		bmin, bavg, bmax := base.LatencyStats()
 		for _, sys := range core.Systems {
-			r, err := get(name, sys)
+			b.Sys = sys
+			r, err := s.Run(ctx, b)
 			if err != nil {
 				return nil, err
 			}
 			mn, av, mx := r.LatencyStats()
-			t.Add(name, sys.String(), norm(mn, bmin), norm(av, bavg), norm(mx, bmax))
+			t.Add(b.workloadName(), sys.String(), norm(mn, bmin), norm(av, bavg), norm(mx, bmax))
 		}
 	}
 	return t, nil
@@ -937,58 +897,29 @@ func norm(v, base units.Duration) string {
 	return fmt.Sprintf("%.2f", float64(v)/float64(base))
 }
 
-// mixNames returns "MX1".."MX14" for the heterogeneous figure rows.
-func mixNames() []string {
-	names := make([]string, workload.MixCount)
-	for i := range names {
-		names[i] = fmt.Sprintf("MX%d", i+1)
-	}
-	return names
-}
-
-// getHomog adapts Homogeneous to the by-name getters the shared table
-// renderers take; getHet does the same for the MXn rows.
-func (s *Suite) getHomog(ctx context.Context) func(string, core.System) (*stats.Result, error) {
-	return func(name string, sys core.System) (*stats.Result, error) {
-		return s.Homogeneous(ctx, name, sys)
-	}
-}
-
-func (s *Suite) getHet(ctx context.Context) func(string, core.System) (*stats.Result, error) {
-	return func(name string, sys core.System) (*stats.Result, error) {
-		var n int
-		fmt.Sscanf(name, "MX%d", &n)
-		return s.Heterogeneous(ctx, n, sys)
-	}
-}
-
 // Fig11a renders homogeneous latency normalized to SIMD.
 func (s *Suite) Fig11a(ctx context.Context) (*report.Table, error) {
-	return s.latTable("Fig 11a: homogeneous latency (normalized to SIMD)", workload.Names(), s.getHomog(ctx))
+	return s.latTable(ctx, "Fig 11a: homogeneous latency (normalized to SIMD)", homogBases())
 }
 
 // Fig11b renders heterogeneous latency normalized to SIMD.
 func (s *Suite) Fig11b(ctx context.Context) (*report.Table, error) {
-	return s.latTable("Fig 11b: heterogeneous latency (normalized to SIMD)", mixNames(), s.getHet(ctx))
+	return s.latTable(ctx, "Fig 11b: heterogeneous latency (normalized to SIMD)", mixBases())
 }
 
 // Fig12 renders the kernel-completion CDFs for ATAX and MX1.
 func (s *Suite) Fig12(ctx context.Context) (*report.Table, error) {
 	t := &report.Table{Title: "Fig 12: kernel completion CDF (ATAX and MX1)",
 		Header: []string{"workload", "system", "completions (time ms : count)"}}
-	for _, sys := range core.Systems {
-		r, err := s.Homogeneous(ctx, "ATAX", sys)
-		if err != nil {
-			return nil, err
+	for _, b := range fig12Bases() {
+		for _, sys := range core.Systems {
+			b.Sys = sys
+			r, err := s.Run(ctx, b)
+			if err != nil {
+				return nil, err
+			}
+			t.Add(b.workloadName(), sys.String(), cdfString(r))
 		}
-		t.Add("ATAX", sys.String(), cdfString(r))
-	}
-	for _, sys := range core.Systems {
-		r, err := s.Heterogeneous(ctx, 1, sys)
-		if err != nil {
-			return nil, err
-		}
-		t.Add("MX1", sys.String(), cdfString(r))
 	}
 	return t, nil
 }
@@ -1002,23 +933,24 @@ func cdfString(r *stats.Result) string {
 }
 
 // energyTable renders Fig. 13's decomposition normalized to SIMD total.
-func (s *Suite) energyTable(title string, names []string,
-	get func(string, core.System) (*stats.Result, error)) (*report.Table, error) {
+func (s *Suite) energyTable(ctx context.Context, title string, bases []Job) (*report.Table, error) {
 	t := &report.Table{Title: title,
 		Header: []string{"workload", "system", "data movement", "computation", "storage access", "total"}}
-	for _, name := range names {
-		base, err := get(name, core.SIMD)
+	for _, b := range bases {
+		b.Sys = core.SIMD
+		base, err := s.Run(ctx, b)
 		if err != nil {
 			return nil, err
 		}
 		bt := base.Energy.Total()
 		for _, sys := range core.Systems {
-			r, err := get(name, sys)
+			b.Sys = sys
+			r, err := s.Run(ctx, b)
 			if err != nil {
 				return nil, err
 			}
 			e := r.Energy
-			t.Add(name, sys.String(),
+			t.Add(b.workloadName(), sys.String(),
 				e[power.DataMove]/bt, e[power.Compute]/bt, e[power.Storage]/bt, e.Total()/bt)
 		}
 	}
@@ -1027,40 +959,25 @@ func (s *Suite) energyTable(title string, names []string,
 
 // Fig13a renders homogeneous energy decomposition.
 func (s *Suite) Fig13a(ctx context.Context) (*report.Table, error) {
-	return s.energyTable("Fig 13a: homogeneous energy (normalized to SIMD)", workload.Names(), s.getHomog(ctx))
+	return s.energyTable(ctx, "Fig 13a: homogeneous energy (normalized to SIMD)", homogBases())
 }
 
 // Fig13b renders heterogeneous energy decomposition.
 func (s *Suite) Fig13b(ctx context.Context) (*report.Table, error) {
-	return s.energyTable("Fig 13b: heterogeneous energy (normalized to SIMD)", mixNames(), s.getHet(ctx))
+	return s.energyTable(ctx, "Fig 13b: heterogeneous energy (normalized to SIMD)", mixBases())
 }
 
-// utilTable renders Fig. 14's processor utilizations.
-func (s *Suite) utilTable(title string, names []string,
-	get func(string, core.System) (*stats.Result, error)) (*report.Table, error) {
-	t := &report.Table{Title: title, Header: append([]string{"workload"}, systemNames()...)}
-	for _, name := range names {
-		row := []interface{}{name}
-		for _, sys := range core.Systems {
-			r, err := get(name, sys)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.1f", r.WorkerUtil*100))
-		}
-		t.Add(row...)
-	}
-	return t, nil
-}
+// workerUtil is a result's LWP utilization in percent (Fig. 14).
+func workerUtil(r *stats.Result) float64 { return r.WorkerUtil * 100 }
 
 // Fig14a renders homogeneous LWP utilization.
 func (s *Suite) Fig14a(ctx context.Context) (*report.Table, error) {
-	return s.utilTable("Fig 14a: homogeneous LWP utilization (%)", workload.Names(), s.getHomog(ctx))
+	return s.systemTable(ctx, "Fig 14a: homogeneous LWP utilization (%)", "workload", homogBases(), workerUtil)
 }
 
 // Fig14b renders heterogeneous LWP utilization.
 func (s *Suite) Fig14b(ctx context.Context) (*report.Table, error) {
-	return s.utilTable("Fig 14b: heterogeneous LWP utilization (%)", mixNames(), s.getHet(ctx))
+	return s.systemTable(ctx, "Fig 14b: heterogeneous LWP utilization (%)", "workload", mixBases(), workerUtil)
 }
 
 // Fig15 runs MX1 with time-series collection on SIMD and IntraO3 and
@@ -1069,7 +986,7 @@ func (s *Suite) Fig14b(ctx context.Context) (*report.Table, error) {
 // so racing callers share one computation and a prewarmed suite renders
 // this figure without simulating.
 func (s *Suite) Fig15(ctx context.Context) (map[string]*stats.Result, error) {
-	jobs := seriesCells()
+	jobs := seriesCells(s)
 	if err := s.Prewarm(ctx, jobs); err != nil {
 		return nil, err
 	}
@@ -1086,29 +1003,12 @@ func (s *Suite) Fig15(ctx context.Context) (map[string]*stats.Result, error) {
 
 // Fig16a renders graph/bigdata throughput.
 func (s *Suite) Fig16a(ctx context.Context) (*report.Table, error) {
-	t := &report.Table{Title: "Fig 16a: graph/bigdata throughput (MB/s)",
-		Header: append([]string{"app"}, systemNames()...)}
-	for _, name := range workload.BigdataNames() {
-		row := []interface{}{name}
-		for _, sys := range core.Systems {
-			r, err := s.Bigdata(ctx, name, sys)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.1f", r.ThroughputMBps()))
-		}
-		t.Add(row...)
-	}
-	return t, nil
+	return s.systemTable(ctx, "Fig 16a: graph/bigdata throughput (MB/s)", "app", bigdataBases(), (*stats.Result).ThroughputMBps)
 }
 
 // Fig16b renders graph/bigdata energy decomposition normalized to SIMD.
 func (s *Suite) Fig16b(ctx context.Context) (*report.Table, error) {
-	return s.energyTable("Fig 16b: graph/bigdata energy (normalized to SIMD)",
-		workload.BigdataNames(),
-		func(name string, sys core.System) (*stats.Result, error) {
-			return s.Bigdata(ctx, name, sys)
-		})
+	return s.energyTable(ctx, "Fig 16b: graph/bigdata energy (normalized to SIMD)", bigdataBases())
 }
 
 // clusterPolicyName spells a dispatch policy for table rows.

@@ -31,7 +31,7 @@ func TestTable1AndTable2Render(t *testing.T) {
 }
 
 func TestFig3SensitivityShape(t *testing.T) {
-	points, err := Fig3Sensitivity(context.Background(), 16, 0)
+	points, err := NewSuite(16).Fig3Points(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

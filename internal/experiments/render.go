@@ -1,13 +1,14 @@
 // Experiment registry and render orchestration.
 //
-// Historically cmd/abacus-repro owned the list of experiments and the
-// logic that renders a selection of them to a stream; the serving layer
-// (internal/service) needs the exact same bytes per experiment id, so
-// both now share this one implementation. The contract every consumer
-// relies on: a selection renders byte-identically at any Workers count,
-// and the bytes for one experiment id are the same whether it renders
-// alone or as part of "all" — which is what lets the service pin its
-// responses against the CLI's committed golden files.
+// Every experiment is one record in List: its id, whether "all" opts it
+// in, the cells it reads and its render. Two consumers rely on this
+// contract: the CLI (cmd/abacus-repro) and the serving layer
+// (internal/service). A selection renders byte-identically at any
+// Workers count. One experiment's bytes are the same whether it renders
+// alone or as part of "all", which is what lets the service pin its
+// responses against the CLI's committed golden files. And a render reads
+// only the cells its record lists: any other lookup is an error, never a
+// simulation.
 package experiments
 
 import (
@@ -21,12 +22,44 @@ import (
 	"repro/internal/runner"
 )
 
-// Experiment couples an experiment id with the renderer producing exactly
-// the bytes the reproduction prints for it, so renders can run as runner
-// jobs and still be emitted in listing order.
+// Experiment is one table or figure of the reproduction: its id, the
+// cached device runs it reads, and the renderer producing exactly the
+// bytes the reproduction prints for it. Renders run as runner jobs and
+// are still emitted in listing order.
 type Experiment struct {
-	ID     string
-	Render func(ctx context.Context, s *Suite) (string, error)
+	ID string
+	// OptIn, when set, reports whether "all" includes the experiment for
+	// a device count and the topology and faults flags. Nil means always.
+	OptIn func(devices int, topology, faults bool) bool
+	// Cells lists the cells Render reads, in the order it reads them. Nil
+	// means the experiment needs no device runs.
+	Cells func(*Suite) []Job
+	// Render renders the experiment, in the shape of a Suite method
+	// expression. (*Suite).Render passes it a view of the suite that
+	// holds only the listed cells, already run.
+	Render func(s *Suite, ctx context.Context) (string, error)
+}
+
+// cells returns the jobs e lists on s.
+func (e Experiment) cells(s *Suite) []Job {
+	if e.Cells == nil {
+		return nil
+	}
+	return e.Cells(s)
+}
+
+// render runs e's cells on s, then renders e against the view holding
+// them. Errors carry e's id.
+func (e Experiment) render(ctx context.Context, s *Suite) (string, error) {
+	v, err := s.view(ctx, e.ID, e.cells(s))
+	var out string
+	if err == nil {
+		out, err = e.Render(v, ctx)
+	}
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", e.ID, err)
+	}
+	return out, nil
 }
 
 // table adapts the common render-one-table case.
@@ -37,45 +70,48 @@ func table(t *report.Table, err error) (string, error) {
 	return t.String() + "\n", nil
 }
 
+// tableOf adapts a Suite figure method to a Render.
+func tableOf(fig func(*Suite, context.Context) (*report.Table, error)) func(*Suite, context.Context) (string, error) {
+	return func(s *Suite, ctx context.Context) (string, error) { return table(fig(s, ctx)) }
+}
+
+// fig3Render renders one table of the Fig. 3 sensitivity sweep.
+func fig3Render(render func([]Fig3Point) *report.Table) func(*Suite, context.Context) (string, error) {
+	return func(s *Suite, ctx context.Context) (string, error) {
+		p, err := s.Fig3Points(ctx)
+		if err != nil {
+			return "", err
+		}
+		return table(render(p), nil)
+	}
+}
+
+// staticTable renders a table that needs no device runs.
+func staticTable(t func() *report.Table) func(*Suite, context.Context) (string, error) {
+	return func(*Suite, context.Context) (string, error) { return table(t(), nil) }
+}
+
 // List returns every experiment in the paper's presentation order — the
 // order "all" prints.
 func List() []Experiment {
 	return []Experiment{
-		{"t1", func(context.Context, *Suite) (string, error) {
-			return table(Table1(), nil)
-		}},
-		{"t2", func(context.Context, *Suite) (string, error) {
-			return table(Table2(), nil)
-		}},
-		{"mixes", func(context.Context, *Suite) (string, error) {
-			return table(TableMixes(), nil)
-		}},
-		{"fig3b", func(ctx context.Context, s *Suite) (string, error) {
-			p, err := s.Fig3Points(ctx)
-			if err != nil {
-				return "", err
-			}
-			return table(Fig3bTable(p), nil)
-		}},
-		{"fig3c", func(ctx context.Context, s *Suite) (string, error) {
-			p, err := s.Fig3Points(ctx)
-			if err != nil {
-				return "", err
-			}
-			return table(Fig3cTable(p), nil)
-		}},
-		{"fig3d", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig3d(ctx)) }},
-		{"fig3e", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig3e(ctx)) }},
-		{"fig10a", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig10a(ctx)) }},
-		{"fig10b", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig10b(ctx)) }},
-		{"fig11a", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig11a(ctx)) }},
-		{"fig11b", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig11b(ctx)) }},
-		{"fig12", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig12(ctx)) }},
-		{"fig13a", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig13a(ctx)) }},
-		{"fig13b", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig13b(ctx)) }},
-		{"fig14a", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig14a(ctx)) }},
-		{"fig14b", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig14b(ctx)) }},
-		{"fig15", func(ctx context.Context, s *Suite) (string, error) {
+		{ID: "t1", Render: staticTable(Table1)},
+		{ID: "t2", Render: staticTable(Table2)},
+		{ID: "mixes", Render: staticTable(TableMixes)},
+		{ID: "fig3b", Cells: sensitivityCells, Render: fig3Render(Fig3bTable)},
+		{ID: "fig3c", Cells: sensitivityCells, Render: fig3Render(Fig3cTable)},
+		{ID: "fig3d", Cells: fig3Cells, Render: tableOf((*Suite).Fig3d)},
+		{ID: "fig3e", Cells: fig3Cells, Render: tableOf((*Suite).Fig3e)},
+		{ID: "fig10a", Cells: homogCells, Render: tableOf((*Suite).Fig10a)},
+		{ID: "fig10b", Cells: mixCells, Render: tableOf((*Suite).Fig10b)},
+		{ID: "fig11a", Cells: homogCells, Render: tableOf((*Suite).Fig11a)},
+		{ID: "fig11b", Cells: mixCells, Render: tableOf((*Suite).Fig11b)},
+		{ID: "fig12", Cells: fig12Cells, Render: tableOf((*Suite).Fig12)},
+		{ID: "fig13a", Cells: homogCells, Render: tableOf((*Suite).Fig13a)},
+		{ID: "fig13b", Cells: mixCells, Render: tableOf((*Suite).Fig13b)},
+		{ID: "fig14a", Cells: homogCells, Render: tableOf((*Suite).Fig14a)},
+		{ID: "fig14b", Cells: mixCells, Render: tableOf((*Suite).Fig14b)},
+		{ID: "fig15", Cells: seriesCells, Render: func(s *Suite, ctx context.Context) (string, error) {
 			res, err := s.Fig15(ctx)
 			if err != nil {
 				return "", err
@@ -91,11 +127,14 @@ func List() []Experiment {
 			}
 			return b.String(), nil
 		}},
-		{"fig16a", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig16a(ctx)) }},
-		{"fig16b", func(ctx context.Context, s *Suite) (string, error) { return table(s.Fig16b(ctx)) }},
-		{"cluster", func(ctx context.Context, s *Suite) (string, error) { return s.Cluster(ctx) }},
-		{"topology", func(ctx context.Context, s *Suite) (string, error) { return s.Topology(ctx) }},
-		{"faults", func(ctx context.Context, s *Suite) (string, error) { return s.Faults(ctx) }},
+		{ID: "fig16a", Cells: bigdataCells, Render: tableOf((*Suite).Fig16a)},
+		{ID: "fig16b", Cells: bigdataCells, Render: tableOf((*Suite).Fig16b)},
+		{ID: "cluster", Cells: clusterCells, Render: (*Suite).Cluster,
+			OptIn: func(devices int, _, _ bool) bool { return devices > 1 }},
+		{ID: "topology", Cells: topologyCells, Render: (*Suite).Topology,
+			OptIn: func(_ int, topology, _ bool) bool { return topology }},
+		{ID: "faults", Cells: faultCells, Render: (*Suite).Faults,
+			OptIn: func(_ int, _, faults bool) bool { return faults }},
 	}
 }
 
@@ -108,55 +147,62 @@ func IDs() []string {
 	return out
 }
 
-// simFree marks the experiments renderable without any device runs; a
-// render prints them immediately, before the (possibly minutes-long)
-// cache fill the simulation-backed experiments need.
-var simFree = map[string]bool{"t1": true, "t2": true, "mixes": true}
-
 // Select resolves an experiment selection. id "all" expands to the full
 // presentation-order list with the scale-out studies opt-in — cluster
 // only when devices > 1, topology and faults only when their flags are
 // set — so a plain full run prints exactly the single-device evaluation.
 // Any other id selects exactly that experiment, opted in or not.
 func Select(id string, devices int, topology, faults bool) ([]Experiment, error) {
-	all := List()
-	if id != "all" {
-		for _, e := range all {
-			if e.ID == id {
-				return []Experiment{e}, nil
-			}
+	var sel []Experiment
+	for _, e := range List() {
+		switch {
+		case e.ID == id:
+			return []Experiment{e}, nil
+		case id == "all" && (e.OptIn == nil || e.OptIn(devices, topology, faults)):
+			sel = append(sel, e)
 		}
+	}
+	if id != "all" {
 		return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", id, strings.Join(IDs(), " "))
 	}
-	var sel []Experiment
-	for _, e := range all {
-		if e.ID == "cluster" && devices == 1 {
-			continue
-		}
-		if e.ID == "topology" && !topology {
-			continue
-		}
-		if e.ID == "faults" && !faults {
-			continue
-		}
-		sel = append(sel, e)
-	}
 	return sel, nil
+}
+
+// CellsFor enumerates the union of cells the listed experiments read on
+// s, deduplicated, preserving first-appearance order — a deterministic
+// job list for Prewarm. Unknown ids list nothing.
+func (s *Suite) CellsFor(ids []string) []Job {
+	byID := map[string]Experiment{}
+	for _, e := range List() {
+		byID[e.ID] = e
+	}
+	seen := map[Job]bool{}
+	var out []Job
+	for _, id := range ids {
+		for _, j := range byID[id].cells(s) {
+			if !seen[j] {
+				seen[j] = true
+				out = append(out, j)
+			}
+		}
+	}
+	return out
 }
 
 // Render renders the selected experiments to w in selection order. The
 // suite's Workers bounds the parallelism; whatever the bound, the bytes
 // written are identical to a fully sequential (Workers == 1) render —
 // the property the CLI's golden files and the service's golden
-// equivalence suite both pin.
+// equivalence suite both pin. Each experiment's listed cells are run
+// before its render, and the render reads them through a view of s that
+// fails any lookup of a cell the experiment did not list.
 func (s *Suite) Render(ctx context.Context, w io.Writer, sel []Experiment) error {
 	// The leading simulation-free tables print immediately — a paper-scale
-	// cache fill below can run for minutes and t1/t2/mixes need no device
-	// runs to render.
-	for len(sel) > 0 && simFree[sel[0].ID] {
-		out, err := sel[0].Render(ctx, s)
+	// cache fill below can run for minutes and they list no cells.
+	for len(sel) > 0 && sel[0].Cells == nil {
+		out, err := sel[0].render(ctx, s)
 		if err != nil {
-			return fmt.Errorf("%s: %w", sel[0].ID, err)
+			return err
 		}
 		fmt.Fprint(w, out)
 		sel = sel[1:]
@@ -168,15 +214,10 @@ func (s *Suite) Render(ctx context.Context, w io.Writer, sel []Experiment) error
 	// reads. A failed cell does not stop the fill (its error stays cached
 	// and the owning experiment's render re-surfaces it under its id), so
 	// every table before the affected experiment still prints — the same
-	// stream a sequential run leaves behind. At Workers == 1 the fill adds
-	// nothing: skip it and let the renders below simulate on demand,
-	// streaming each table as it completes, exactly like the original
-	// sequential harness.
+	// stream a sequential run leaves behind. At Workers == 1 each
+	// experiment's view runs its own cells just before its render instead,
+	// so every table streams as soon as its own cells are done.
 	if s.Workers != 1 {
-		// Every device run of every selected experiment — including the
-		// Fig. 3 sweep and the Fig. 15 series, which are ordinary cells —
-		// is in this one job list, so the pool stays saturated with no
-		// serialized warm phases between experiment families.
 		var selIDs []string
 		for _, e := range sel {
 			selIDs = append(selIDs, e.ID)
@@ -198,9 +239,9 @@ func (s *Suite) Render(ctx context.Context, w io.Writer, sel []Experiment) error
 		printed int
 	)
 	return runner.New(s.Workers).Each(ctx, len(sel), func(ctx context.Context, i int) error {
-		out, err := sel[i].Render(ctx, s)
+		out, err := sel[i].render(ctx, s)
 		if err != nil {
-			return fmt.Errorf("%s: %w", sel[i].ID, err)
+			return err
 		}
 		mu.Lock()
 		outs[i], done[i] = out, true

@@ -9,7 +9,7 @@ import (
 )
 
 func TestTopologyCellsShape(t *testing.T) {
-	cells := Cells("topology")
+	cells := cellsOf("topology")
 	if cells == nil {
 		t.Fatal("topology experiment has no cells")
 	}
@@ -42,7 +42,7 @@ func TestTopologyCellsShape(t *testing.T) {
 func TestTopologyScalingMonotonicAtDefaultScale(t *testing.T) {
 	s := NewSuite(16)
 	ctx := context.Background()
-	if err := s.Prewarm(ctx, Cells("topology")); err != nil {
+	if err := s.Prewarm(ctx, s.CellsFor([]string{"topology"})); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range cluster.Policies {

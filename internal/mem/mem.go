@@ -126,6 +126,3 @@ func (m *Memory) Busy() units.Duration { return m.pipe.Busy() }
 
 // Bytes returns the total bytes moved.
 func (m *Memory) Bytes() int64 { return m.pipe.Bytes() }
-
-// FreeAt returns the next idle instant.
-func (m *Memory) FreeAt() sim.Time { return m.pipe.FreeAt() }

@@ -9,13 +9,11 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
-	"repro/internal/sim"
 )
 
 // Context is the device surface a scheduler drives. Dispatch hands a screen
 // to a worker; the core calls Kick again on every completion or arrival.
 type Context interface {
-	Now() sim.Time
 	Workers() int
 	// Free reports whether worker w has no screen in flight.
 	Free(w int) bool

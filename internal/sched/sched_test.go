@@ -22,7 +22,6 @@ func newFakeCtx(workers int) *fakeCtx {
 	return &fakeCtx{workers: workers, running: map[int]*kernel.Screen{}, chain: &kernel.Chain{}}
 }
 
-func (c *fakeCtx) Now() sim.Time        { return c.now }
 func (c *fakeCtx) Workers() int         { return c.workers }
 func (c *fakeCtx) Free(w int) bool      { return c.running[w] == nil }
 func (c *fakeCtx) Chain() *kernel.Chain { return c.chain }

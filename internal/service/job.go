@@ -95,7 +95,7 @@ func (req *JobRequest) Normalize() (*faults.Plan, error) {
 	if req.Experiment == "" {
 		req.Experiment = "all"
 	}
-	if _, err := experiments.Select(req.Experiment, 1, false, false); err != nil && req.Experiment != "all" {
+	if _, err := experiments.Select(req.Experiment, 1, false, false); err != nil {
 		return nil, err
 	}
 	if req.Scale == 0 {
