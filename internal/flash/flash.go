@@ -154,21 +154,9 @@ func (g Geometry) SuperBlockOf(pg PhysGroup) SuperBlock {
 	return SuperBlock(a.DieRow*g.BlocksPerDie + a.Block)
 }
 
-// GroupsOf returns the page-group range of a super block: the group for each
-// page index. Metadata groups come first.
-func (g Geometry) GroupsOf(sb SuperBlock) []PhysGroup {
-	out := make([]PhysGroup, g.PagesPerBlock)
-	pg, step := g.GroupSpan(sb)
-	for p := 0; p < g.PagesPerBlock; p++ {
-		out[p] = pg + PhysGroup(int64(p)*step)
-	}
-	return out
-}
-
 // GroupSpan returns the first page group of a super block and the index
-// stride between consecutive pages, so callers can walk a super block's
-// groups (first + i*step for i in [0, PagesPerBlock)) without allocating
-// the slice GroupsOf builds.
+// stride between consecutive pages: the block's groups are first + i*step
+// for i in [0, PagesPerBlock), metadata groups first.
 func (g Geometry) GroupSpan(sb SuperBlock) (first PhysGroup, step int64) {
 	row := int(sb) / g.BlocksPerDie
 	block := int(sb) % g.BlocksPerDie
@@ -272,37 +260,61 @@ type ReadRetrier interface {
 // SetRetrier installs (or, with nil, removes) the per-read wear model.
 func (b *Backbone) SetRetrier(r ReadRetrier) { b.retrier = r }
 
+// Retrier returns the installed wear model, or nil.
+func (b *Backbone) Retrier() ReadRetrier { return b.retrier }
+
 // RetryStats returns the injected read retries and the total extra
 // sensing time they cost.
 func (b *Backbone) RetryStats() (retries int64, retryTime units.Duration) {
 	return b.retries, b.retryTime
 }
 
+// ReadStages returns the two stages a page-group read books on the
+// backbone, as sim.Chain stages: the die-row ring, where ring index
+// pg mod DieRows senses group pg for ReadPage, then the bus that stands for
+// every channel's, moving one channel's share of the group. A caller that
+// books them must count the reads with StartReads and charge retries with
+// RetryTime.
+func (b *Backbone) ReadStages() (sense, bus sim.Stage) {
+	return sim.Stage{Ring: b.dies, D: b.Tim.ReadPage}, sim.Stage{Pipe: b.bus, Bytes: b.perCh}
+}
+
+// StartReads panics unless the n consecutive groups pg, pg+1, ..., pg+n-1
+// all lie within capacity, counts them as reads, and returns the sequence
+// number of the first: the retrier sees seq+i for group pg+i.
+func (b *Backbone) StartReads(pg PhysGroup, n int) (seq int64) {
+	b.RowOfRun(pg, n)
+	seq = b.reads
+	b.reads += int64(n)
+	return seq
+}
+
+// RetryTime consults the installed retrier for the read of pg with
+// sequence number seq that reaches the dies at at, and returns the extra
+// sensing time it charges (0 without a retrier), counted in RetryStats.
+// Wear surfaces as latency, never as a failed read.
+func (b *Backbone) RetryTime(at sim.Time, pg PhysGroup, seq int64) units.Duration {
+	if b.retrier == nil {
+		return 0
+	}
+	n := b.retrier.Retries(at, pg, seq)
+	if n <= 0 {
+		return 0
+	}
+	extra := units.Duration(n) * b.Tim.ReadPage
+	b.retries += int64(n)
+	b.retryTime += extra
+	return extra
+}
+
 // ReadGroup books a page-group read requested at time at and returns when
 // the data is available on the channel side. All channels sense in parallel;
 // each channel then moves planes-per-die pages over its bus. An installed
-// ReadRetrier stretches the sense phase by whole ReadPage cycles — wear
-// surfaces as latency, never as a failed read.
+// ReadRetrier stretches the sense phase by whole ReadPage cycles.
 func (b *Backbone) ReadGroup(at sim.Time, pg PhysGroup) sim.Time {
-	return b.ReadGroupOnRow(at, pg, b.RowOfRun(pg, 1))
-}
-
-// ReadGroupOnRow is ReadGroup for a caller that already knows pg's die row
-// (see RowOfRun), so a sequential run pays one capacity check, not one per
-// group.
-func (b *Backbone) ReadGroupOnRow(at sim.Time, pg PhysGroup, row int) sim.Time {
-	sense := b.Tim.ReadPage
-	if b.retrier != nil {
-		if n := b.retrier.Retries(at, pg, b.reads); n > 0 {
-			extra := units.Duration(n) * b.Tim.ReadPage
-			sense += extra
-			b.retries += int64(n)
-			b.retryTime += extra
-		}
-	}
-	_, senseEnd := b.dies[row].Reserve(at, sense)
+	sense := b.Tim.ReadPage + b.RetryTime(at, pg, b.StartReads(pg, 1))
+	_, senseEnd := b.dies[int(int64(pg)%b.rows)].Reserve(at, sense)
 	_, done := b.bus.Transfer(senseEnd, b.perCh)
-	b.reads++
 	return done
 }
 

@@ -68,13 +68,14 @@ func TestConsecutiveGroupsRotateDieRows(t *testing.T) {
 func TestSuperBlockOfGroupsOfConsistent(t *testing.T) {
 	g := DefaultGeometry()
 	for _, sb := range []SuperBlock{0, 1, 7, 100, SuperBlock(g.SuperBlocks() - 1)} {
-		groups := g.GroupsOf(sb)
-		if len(groups) != g.PagesPerBlock {
-			t.Fatalf("super block %d has %d groups, want %d", sb, len(groups), g.PagesPerBlock)
-		}
-		for _, pg := range groups {
+		first, step := g.GroupSpan(sb)
+		for p := 0; p < g.PagesPerBlock; p++ {
+			pg := first + PhysGroup(int64(p)*step)
 			if got := g.SuperBlockOf(pg); got != sb {
 				t.Fatalf("group %d maps to super block %d, want %d", pg, got, sb)
+			}
+			if got := g.Decompose(pg).Page; got != p {
+				t.Fatalf("group %d of super block %d is page %d, want %d", pg, sb, got, p)
 			}
 		}
 	}
@@ -153,8 +154,9 @@ func TestProgramGroupTiming(t *testing.T) {
 func TestEraseSuperCountsAndClears(t *testing.T) {
 	b := newTestBackbone(t)
 	b.Functional = true
-	groups := b.Geo.GroupsOf(3)
-	b.Store(groups[5], []byte("payload"))
+	first, step := b.Geo.GroupSpan(3)
+	pg := first + PhysGroup(5*step)
+	b.Store(pg, []byte("payload"))
 	done := b.EraseSuper(0, 3)
 	if done != b.Tim.EraseBlock {
 		t.Errorf("erase done at %s, want %s", units.FormatDuration(done), units.FormatDuration(b.Tim.EraseBlock))
@@ -162,7 +164,7 @@ func TestEraseSuperCountsAndClears(t *testing.T) {
 	if b.EraseCount(3) != 1 {
 		t.Errorf("erase count = %d", b.EraseCount(3))
 	}
-	if b.Load(groups[5]) != nil {
+	if b.Load(pg) != nil {
 		t.Error("erase did not clear functional payloads")
 	}
 	if b.TotalErases() != 1 {

@@ -194,13 +194,11 @@ func checkLockstep(t *testing.T, rng *rand.Rand, b *Backbone, ref *refBackbone) 
 			if int64(pg)+int64(n) > groups {
 				pg = PhysGroup(groups - int64(n))
 			}
-			row := b.RowOfRun(pg, n)
 			for i := 0; i < n; i++ {
-				got, want = b.ReadGroupOnRow(at, pg+PhysGroup(i), row), ref.readGroup(at, pg+PhysGroup(i))
+				got, want = b.ReadGroup(at, pg+PhysGroup(i)), ref.readGroup(at, pg+PhysGroup(i))
 				if got != want {
 					break
 				}
-				row = (row + 1) % geo.DieRows()
 			}
 		case k < 8:
 			got, want = b.ProgramGroup(at, pg), ref.programGroup(at, pg)

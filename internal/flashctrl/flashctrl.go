@@ -2,6 +2,16 @@
 // storage complex (paper §2.2): one controller per channel converting
 // network-side requests into the flash clock domain through inbound and
 // outbound tag queues, behind a four-lane Serial RapidIO link.
+//
+// A sequential read run crosses one fixed pipeline: the tag queue of the
+// group's controller, die-row sensing, the channel bus, the SRIO link and,
+// once the Flashvisor wires it, the DDR3L landing. ReadGroupsSeq books the
+// run as a sim.Chain over those stages. The chain steps the per-group
+// recurrence until it can prove the pipeline periodic over lcm(controllers,
+// die rows) groups, then advances whole periods in closed form; the
+// sim.Chain documentation states the rule and why it is exact. In the paper
+// configuration the dies, bus and link saturate within a few periods, so a
+// run of hundreds of groups costs a few dozen stepped groups.
 package flashctrl
 
 import (
@@ -43,6 +53,17 @@ type Complex struct {
 
 	srio *sim.Pipe
 	tags []*sim.Resource // per channel-controller request handling
+
+	// read is the sequential-read pipeline ReadGroupsSeq books: tag queue,
+	// die-row sensing, channel bus, SRIO and the landing pipe, if any. It is
+	// built on the first read, so devices that never read carry none.
+	// retry is its charge hook, bound once (a method value per call would
+	// allocate); runPG and runSeq locate the run it charges.
+	landing *sim.Pipe
+	read    *sim.Chain
+	retry   func(i int, at sim.Time) sim.Duration
+	runPG   flash.PhysGroup
+	runSeq  int64
 }
 
 // New builds the controller complex for bb.
@@ -59,6 +80,29 @@ func New(cfg Config, bb *flash.Backbone) (*Complex, error) {
 		c.tags[i] = sim.NewResource(fmt.Sprintf("fctl%d-tags", i))
 	}
 	return c, nil
+}
+
+// SetLanding makes the pipe a read's data lands in (the DDR3L) the last
+// stage of ReadGroupsSeq; nil ends the pipeline at the SRIO link.
+func (c *Complex) SetLanding(p *sim.Pipe) { c.landing, c.read = p, nil }
+
+// readChain builds the pipeline ReadGroupsSeq books.
+func (c *Complex) readChain() *sim.Chain {
+	sense, bus := c.BB.ReadStages()
+	gs := c.BB.Geo.GroupSize()
+	stages := []sim.Stage{{Ring: c.tags, D: c.Cfg.TagService}, sense, bus, {Pipe: c.srio, Bytes: gs}}
+	if c.landing != nil {
+		stages = append(stages, sim.Stage{Pipe: c.landing, Bytes: gs})
+	}
+	read := sim.NewChain(stages...)
+	read.ChargeAt = 1 // die-row sensing
+	c.retry = c.retryTime
+	return read
+}
+
+// retryTime charges group i of the current run its read retries.
+func (c *Complex) retryTime(i int, at sim.Time) sim.Duration {
+	return c.BB.RetryTime(at, c.runPG+flash.PhysGroup(i), c.runSeq+int64(i))
 }
 
 // tagFor picks the controller that owns a page group. Every channel holds a
@@ -80,31 +124,24 @@ func (c *Complex) ReadGroup(at sim.Time, pg flash.PhysGroup) sim.Time {
 }
 
 // ReadGroupsSeq books n device-side reads of the consecutive page groups
-// pg, pg+1, ..., the i'th requested at at+i*stride, and calls ready with
-// each network-side completion time in order. Every reservation is identical
-// to n individual ReadGroup calls — consecutive groups rotate controllers and
-// die rows, so the tag index and the die row each advance by one per group —
-// but the whole contiguous run crosses the visor/controller boundary once
-// and checks flash capacity once instead of once per group.
-func (c *Complex) ReadGroupsSeq(at sim.Time, stride sim.Duration, pg flash.PhysGroup, n int, ready func(i int, end sim.Time)) {
-	nt, nr := len(c.tags), c.BB.Geo.DieRows()
-	ti := int(int64(pg) % int64(nt))
-	row := c.BB.RowOfRun(pg, n)
-	gs := c.BB.Geo.GroupSize()
-	for i := 0; i < n; i++ {
-		_, decoded := c.tags[ti].Reserve(at+sim.Duration(i)*stride, c.Cfg.TagService)
-		sensed := c.BB.ReadGroupOnRow(decoded, pg+flash.PhysGroup(i), row)
-		_, end := c.srio.Transfer(sensed, gs)
-		ready(i, end)
-		ti++
-		if ti == nt {
-			ti = 0
-		}
-		row++
-		if row == nr {
-			row = 0
-		}
+// pg, pg+1, ..., the i'th requested at at+i*stride, through the tag queues,
+// die rows, channel bus, SRIO link and landing pipe. Consecutive groups
+// rotate controllers and die rows, so the tag index and the die row each
+// advance by one per group. Every reservation equals that of n ReadGroup
+// calls, each followed by a landing transfer. ready, when non-nil, receives
+// each group's exact completion in order; ReadGroupsSeq returns the latest.
+// An installed retrier is consulted once per group with the (at, pg, seq)
+// ReadGroup would give it, and a charged group is always stepped.
+func (c *Complex) ReadGroupsSeq(at sim.Time, stride sim.Duration, pg flash.PhysGroup, n int, ready func(i int, end sim.Time)) sim.Time {
+	if c.read == nil {
+		c.read = c.readChain()
 	}
+	c.runPG, c.runSeq = pg, c.BB.StartReads(pg, n)
+	c.read.Charge = nil
+	if c.BB.Retrier() != nil {
+		c.read.Charge = c.retry
+	}
+	return c.read.Book(at, stride, int64(pg), n, ready)
 }
 
 // ProgramGroup moves a page group over SRIO and programs it. It returns
@@ -141,9 +178,6 @@ func (c *Complex) MigrateGroup(at sim.Time, src, dst flash.PhysGroup) sim.Time {
 	c.BB.Move(src, dst)
 	return done
 }
-
-// SRIOBusy returns the link occupancy (for energy accounting).
-func (c *Complex) SRIOBusy() units.Duration { return c.srio.Busy() }
 
 // SRIOBytes returns total bytes moved over the link.
 func (c *Complex) SRIOBytes() int64 { return c.srio.Bytes() }

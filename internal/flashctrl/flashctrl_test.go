@@ -1,6 +1,8 @@
 package flashctrl
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/flash"
@@ -108,42 +110,123 @@ func TestTagBusyAccumulates(t *testing.T) {
 	}
 }
 
-// seqRetrier is a pure function of its arguments, as ReadRetrier requires.
-type seqRetrier struct{}
+// recordingRetrier logs every consultation. Its answer is a pure function
+// of the arguments, as ReadRetrier requires; with charge off it never
+// charges, so runs stay eligible for the closed form while it records.
+type recordingRetrier struct {
+	charge bool
+	log    []retryCall
+}
 
-func (seqRetrier) Retries(at sim.Time, pg flash.PhysGroup, seq int64) int {
-	return int((int64(at)/11 + int64(pg) + 2*seq) % 3)
+type retryCall struct {
+	at  sim.Time
+	pg  flash.PhysGroup
+	seq int64
+}
+
+func (r *recordingRetrier) Retries(at sim.Time, pg flash.PhysGroup, seq int64) int {
+	r.log = append(r.log, retryCall{at, pg, seq})
+	if h := int64(at)/11 + int64(pg) + 2*seq; r.charge && h%23 == 0 {
+		return 1 + int(h%3)
+	}
+	return 0
+}
+
+// readPipeline returns every resource of c's read pipeline in order: tag
+// queues, die rows, then the bus and SRIO pipes.
+func readPipeline(c *Complex) ([]*sim.Resource, []*sim.Pipe) {
+	sense, bus := c.BB.ReadStages()
+	return append(append([]*sim.Resource{}, c.tags...), sense.Ring...), []*sim.Pipe{bus.Pipe, c.srio}
+}
+
+func ddrPipe() *sim.Pipe {
+	p := sim.NewPipe("ddr3l", 6400*units.MBps)
+	p.Latency = 50
+	return p
 }
 
 // TestReadGroupsSeqMatchesReadGroup pins ReadGroupsSeq to n individual
-// ReadGroup calls: runs that wrap the tag queues and the die rows, on a
-// backlogged complex, with wear retries charged per group.
+// ReadGroup calls, each followed by its landing transfer: runs of 1, 15, 16,
+// 17 and 1000 groups that wrap the tag queues and die rows, on a complex
+// whose tag queues are backlogged by buffered programs booked ahead of the
+// reads, without a retrier and with one that records every consultation.
+// Every completion, every resource's free time, busy time, reservations
+// and bytes, the read count and the retrier's call sequence must agree.
 func TestReadGroupsSeqMatchesReadGroup(t *testing.T) {
-	for _, start := range []flash.PhysGroup{0, 5, 13} {
-		a, b := newComplex(t), newComplex(t)
-		a.BB.SetRetrier(seqRetrier{})
-		b.BB.SetRetrier(seqRetrier{})
-		a.ReadGroup(0, 3)
-		b.ReadGroup(0, 3)
-		const n, stride = 37, 3 * units.Microsecond
-		var want []sim.Time
-		for i := 0; i < n; i++ {
-			want = append(want, a.ReadGroup(sim.Time(i)*stride, start+flash.PhysGroup(i)))
-		}
-		got := 0
-		b.ReadGroupsSeq(0, stride, start, n, func(i int, end sim.Time) {
-			if i != got || end != want[i] {
-				t.Errorf("start %d: group %d done %d, want group %d done %d", start, i, end, got, want[got])
+	for _, mode := range []string{"none", "recording", "charging"} {
+		for _, n := range []int{1, 15, 16, 17, 1000} {
+			for _, start := range []flash.PhysGroup{0, 5, 13} {
+				name := fmt.Sprintf("retrier %s, %d groups from %d", mode, n, start)
+				a, b := newComplex(t), newComplex(t)
+				la, lb := ddrPipe(), ddrPipe()
+				b.SetLanding(lb)
+				var ra, rb *recordingRetrier
+				if mode != "none" {
+					ra, rb = &recordingRetrier{charge: mode == "charging"}, &recordingRetrier{charge: mode == "charging"}
+					a.BB.SetRetrier(ra)
+					b.BB.SetRetrier(rb)
+				}
+				// Buffered programs booked ahead keep the tag queues busy
+				// well past the reads' request times.
+				for i := 0; i < 64; i++ {
+					a.ProgramGroupBuffered(sim.Time(i)*units.Microsecond, flash.PhysGroup(4000+i))
+					b.ProgramGroupBuffered(sim.Time(i)*units.Microsecond, flash.PhysGroup(4000+i))
+				}
+				a.ReadGroup(0, 3)
+				b.ReadGroup(0, 3)
+				const stride = 600
+				at := sim.Time(7 * units.Microsecond)
+				gs := a.BB.Geo.GroupSize()
+				want := make([]sim.Time, n)
+				for i := range want {
+					_, want[i] = la.Transfer(a.ReadGroup(at+sim.Time(i)*stride, start+flash.PhysGroup(i)), gs)
+				}
+				got := 0
+				last := b.ReadGroupsSeq(at, stride, start, n, func(i int, end sim.Time) {
+					if i != got || end != want[i] {
+						t.Fatalf("%s: group %d done %d, want group %d done %d", name, i, end, got, want[got])
+					}
+					got++
+				})
+				if got != n || last != want[n-1] {
+					t.Fatalf("%s: %d completions, last %d; want %d, last %d", name, got, last, n, want[n-1])
+				}
+				compareReadState(t, name, a, b, la, lb)
+				if adv := b.read.Advanced(); n == 1000 && (adv < 900 && mode != "charging" || adv == 0) {
+					t.Fatalf("%s: only %d groups advanced in closed form", name, adv)
+				}
+				if ra != nil && !slices.Equal(ra.log, rb.log) {
+					t.Fatalf("%s: retrier saw %d calls, reference %d, or a different sequence", name, len(rb.log), len(ra.log))
+				}
 			}
-			got++
-		})
-		if got != n {
-			t.Errorf("start %d: %d completions, want %d", start, got, n)
 		}
-		ra, _ := a.BB.RetryStats()
-		rb, _ := b.BB.RetryStats()
-		if a.BB.BusyUntil() != b.BB.BusyUntil() || a.TagBusy() != b.TagBusy() || a.SRIOBusy() != b.SRIOBusy() || ra != rb {
-			t.Errorf("start %d: state diverged", start)
+	}
+}
+
+func compareReadState(t *testing.T, name string, a, b *Complex, la, lb *sim.Pipe) {
+	t.Helper()
+	resA, pipesA := readPipeline(a)
+	resB, pipesB := readPipeline(b)
+	for i, r := range resA {
+		q := resB[i]
+		if r.FreeAt() != q.FreeAt() || r.Busy() != q.Busy() || r.Reservations() != q.Reservations() {
+			t.Fatalf("%s: %s free/busy/reservations %d/%d/%d, reference %d/%d/%d", name, q.Name,
+				q.FreeAt(), q.Busy(), q.Reservations(), r.FreeAt(), r.Busy(), r.Reservations())
 		}
+	}
+	for i, p := range append(pipesA, la) {
+		q := append(pipesB, lb)[i]
+		if p.FreeAt() != q.FreeAt() || p.Busy() != q.Busy() || p.Reservations() != q.Reservations() || p.Bytes() != q.Bytes() {
+			t.Fatalf("%s: %s free/busy/reservations/bytes %d/%d/%d/%d, reference %d/%d/%d/%d", name, q.Name,
+				q.FreeAt(), q.Busy(), q.Reservations(), q.Bytes(), p.FreeAt(), p.Busy(), p.Reservations(), p.Bytes())
+		}
+	}
+	if a.BB.Reads() != b.BB.Reads() {
+		t.Fatalf("%s: reads %d, reference %d", name, b.BB.Reads(), a.BB.Reads())
+	}
+	na, ta := a.BB.RetryStats()
+	nb, tb := b.BB.RetryStats()
+	if na != nb || ta != tb {
+		t.Fatalf("%s: retries %d (%d ns), reference %d (%d ns)", name, nb, tb, na, ta)
 	}
 }

@@ -101,6 +101,7 @@ func wireVisor(cfg Config, ctrl *flashctrl.Complex, ddr, spad *mem.Memory, net *
 		return nil, fmt.Errorf("flashvisor: mapping table (%s) does not fit scratchpad (%s)",
 			units.FormatBytes(ftl.MappingBytes()), units.FormatBytes(spad.Cfg.Size))
 	}
+	ctrl.SetLanding(ddr.Pipe()) // reads land in DDR3L
 	return &Visor{
 		Cfg:  cfg,
 		Geo:  ctrl.BB.Geo,
@@ -143,7 +144,7 @@ func (v *Visor) lockRange(lo, hi int64) (int64, int64) {
 // model charges it before compute/IO streaming begins.
 func (v *Visor) StartupLatency() units.Duration {
 	return 2*units.Microsecond + v.Cfg.PerGroupCost + v.ctrl.Cfg.TagService +
-		v.ctrl.BB.Tim.ReadPage + v.ctrl.BB.Tim.ChannelBW.DurationFor(2*v.Geo.PageSize)
+		v.ctrl.BB.Tim.ReadPage + v.ctrl.BB.Tim.ChannelBW.DurationFor(int64(v.Geo.PlanesPerDie)*v.Geo.PageSize)
 }
 
 // MapRead maps a kernel data section [addr, addr+bytes) for reading: the
@@ -161,9 +162,11 @@ func (v *Visor) MapRead(at sim.Time, owner int, addr, bytes int64) (sim.Time, []
 // Physically contiguous runs of groups — the common case after sequential
 // population — are processed as batches: the whole run's translation work is
 // charged to the Flashvisor LWP and scratchpad as one analytic reservation
-// each, and crosses into the controller complex once. The per-resource
+// each, and the run crosses into the controller complex once, which books
+// its device reads and DDR3L landings as one pipeline. The per-resource
 // request sequence is identical to the per-group loop, so timing is
-// bit-for-bit unchanged; only the bookkeeping cost shrinks.
+// bit-for-bit unchanged; only the bookkeeping cost shrinks. A timing-only
+// read books a whole run in one call and allocates nothing.
 func (v *Visor) MapReadInto(at sim.Time, owner int, addr, bytes int64, dst []byte) (sim.Time, []byte, error) {
 	if bytes <= 0 {
 		return at, nil, fmt.Errorf("flashvisor: non-positive read size %d", bytes)
@@ -211,16 +214,14 @@ func (v *Visor) MapReadInto(at sim.Time, owner int, addr, bytes int64, dst []byt
 		runStart, _ := v.cpu.ReserveN(grant, cost, int(n))
 		first := runStart + cost // issue time of the run's first group
 		v.spad.AccessUniform(first, cost, int(n), 4)
-		base := lg
-		v.ctrl.ReadGroupsSeq(first, cost, pg, int(n), func(i int, ready sim.Time) {
-			landed := v.ddr.Access(ready, gs)
-			if landed > done {
-				done = landed
-			}
-			if functional {
+		var copyOut func(int, sim.Time)
+		if functional {
+			base := lg
+			copyOut = func(i int, _ sim.Time) {
 				copyGroupOut(data, addr, bytes, base+int64(i), gs, v.ctrl.BB.Load(pg+flash.PhysGroup(i)))
 			}
-		})
+		}
+		done = max(done, v.ctrl.ReadGroupsSeq(first, cost, pg, int(n), copyOut))
 		v.stats.ReadGroups += n
 		lg += n
 	}

@@ -13,7 +13,7 @@ import (
 
 // newBenchVisor builds a Visor over the default geometry (the shape every
 // experiment runs) for the hot-path benches.
-func newBenchVisor(b *testing.B, functional bool) *Visor {
+func newBenchVisor(b testing.TB, functional bool) *Visor {
 	b.Helper()
 	bb, err := flash.NewBackbone(flash.DefaultGeometry(), flash.DefaultTiming())
 	if err != nil {
@@ -41,6 +41,30 @@ func newBenchVisor(b *testing.B, functional bool) *Visor {
 		b.Fatal(err)
 	}
 	return v
+}
+
+// TestMapReadAllocatesNothing pins the timing-only read path at zero
+// allocations for a one-group section and a 1024-group run: the controller
+// books a whole run through its pipeline with scratch it keeps.
+func TestMapReadAllocatesNothing(t *testing.T) {
+	v := newBenchVisor(t, false)
+	gs := v.Geo.GroupSize()
+	if err := v.Populate(0, 1024*gs, nil); err != nil {
+		t.Fatal(err)
+	}
+	at := sim.Time(0)
+	for _, groups := range []int64{1, 1024} {
+		allocs := testing.AllocsPerRun(50, func() {
+			done, _, err := v.MapRead(at, 1, 0, groups*gs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at = done
+		})
+		if allocs != 0 {
+			t.Errorf("MapRead of %d groups: %.1f allocations, want 0", groups, allocs)
+		}
+	}
 }
 
 // BenchmarkVisorMapRead measures the group-batched read path: one 4 MB

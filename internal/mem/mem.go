@@ -77,6 +77,10 @@ func (m *Memory) Access(at sim.Time, n int64) sim.Time {
 	return end
 }
 
+// Pipe returns the device's transfer pipe, for a caller that books it as a
+// stage of a sim.Chain (the flash controllers land reads in DDR3L this way).
+func (m *Memory) Pipe() *sim.Pipe { return m.pipe }
+
 // AccessUniform books cnt transfers of n bytes each, the i'th requested at
 // at+i*stride, in one frontier update (see Pipe.TransferUniform). It returns
 // when the last completes.

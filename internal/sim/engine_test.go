@@ -150,14 +150,6 @@ func TestResourceZeroDuration(t *testing.T) {
 	}
 }
 
-func TestResourceReserveAtOrAfter(t *testing.T) {
-	r := NewResource("x")
-	s, e := r.ReserveAtOrAfter(10, 50, 5)
-	if s != 50 || e != 55 {
-		t.Errorf("got [%d,%d), want [50,55)", s, e)
-	}
-}
-
 func TestResourceIntervalsNeverOverlap(t *testing.T) {
 	f := func(durs []uint8) bool {
 		r := NewResource("p")
@@ -226,20 +218,5 @@ func TestPipeZeroBytes(t *testing.T) {
 	s, e := p.Transfer(42, 0)
 	if s != 42 || e != 42 {
 		t.Errorf("zero transfer = [%d,%d), want [42,42)", s, e)
-	}
-}
-
-func TestResourceReset(t *testing.T) {
-	r := NewResource("x")
-	r.Reserve(0, 10)
-	r.Reset()
-	if r.Busy() != 0 || r.FreeAt() != 0 {
-		t.Error("reset did not clear resource")
-	}
-	p := NewPipe("y", units.GBps)
-	p.Transfer(0, 100)
-	p.Reset()
-	if p.Bytes() != 0 || p.Busy() != 0 {
-		t.Error("reset did not clear pipe")
 	}
 }

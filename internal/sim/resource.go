@@ -54,11 +54,23 @@ func (r *Resource) ReserveN(at Time, d Duration, n int) (start, end Time) {
 	return start, end
 }
 
-// ReserveAtOrAfter is Reserve with an additional earliest-start constraint,
-// used when an upstream dependency (for example a range-lock grant) delays
-// the work beyond the request time.
-func (r *Resource) ReserveAtOrAfter(at, earliest Time, d Duration) (start, end Time) {
-	return r.Reserve(units.MaxTime(at, earliest), d)
+// reserveUniform books n ≥ 1 reservations of d > 0 each, the i'th requested
+// at first+i*stride, and returns the end of the last. The FIFO frontier
+// recurrence f_i = max(f_{i-1}, t_i) + d has a closed form when the request
+// times are uniformly spaced: with stride >= d every reservation starts at
+// its own request time once the resource catches up; with stride < d it
+// saturates and drains back-to-back from the first request.
+func (r *Resource) reserveUniform(first Time, stride Duration, n int, d Duration) Time {
+	nd := Duration(n) * d
+	tail := first + nd
+	if stride >= d {
+		tail = first + Duration(n-1)*stride + d
+	}
+	end := units.MaxTime(r.free+nd, tail)
+	r.free = end
+	r.busy += nd
+	r.reserve += uint64(n)
+	return end
 }
 
 // FreeAt returns the next instant the resource is idle.
@@ -69,9 +81,6 @@ func (r *Resource) Busy() Duration { return r.busy }
 
 // Reservations returns how many reservations were made.
 func (r *Resource) Reservations() uint64 { return r.reserve }
-
-// Reset clears all bookings.
-func (r *Resource) Reset() { r.free, r.busy, r.reserve = 0, 0, 0 }
 
 // Pipe is a bandwidth-limited, FIFO transfer channel (a crossbar port, a
 // flash channel bus, the PCIe link). Transfers serialize: each transfer of n
@@ -131,25 +140,8 @@ func (p *Pipe) TransferUniform(at Time, stride Duration, n int, nb int64) (end T
 	if nb <= 0 {
 		return at + Duration(n-1)*stride
 	}
-	d := p.durationFor(nb)
 	p.bytes += int64(n) * nb
-	first := at + p.Latency
-	last := first + Duration(n-1)*stride
-	nd := Duration(n) * d
-	// With stride >= d every transfer starts at its own request time once
-	// the pipe catches up; with stride < d the pipe saturates and drains
-	// back-to-back from the first request.
-	var tail Time
-	if stride >= d {
-		tail = last + d
-	} else {
-		tail = first + nd
-	}
-	end = units.MaxTime(p.res.free+nd, tail)
-	p.res.free = end
-	p.res.busy += nd
-	p.res.reserve += uint64(n)
-	return end
+	return p.res.reserveUniform(at+p.Latency, stride, n, p.durationFor(nb))
 }
 
 // Busy returns the total time the pipe carried data.
@@ -161,5 +153,5 @@ func (p *Pipe) Bytes() int64 { return p.bytes }
 // FreeAt returns the next instant the pipe is idle.
 func (p *Pipe) FreeAt() Time { return p.res.FreeAt() }
 
-// Reset clears all bookings and counters.
-func (p *Pipe) Reset() { p.res.Reset(); p.bytes = 0 }
+// Reservations returns how many transfers the pipe carried.
+func (p *Pipe) Reservations() uint64 { return p.res.Reservations() }
