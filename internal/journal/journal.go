@@ -73,8 +73,9 @@ type Kind uint8
 
 const (
 	Accepted Kind = iota + 1
-	// Dispatched is no longer appended; replay still decodes it from
-	// journals written by older versions.
+	// Dispatched is no longer appended. Replay still decodes it from
+	// journals written by older versions; abacusd's fold treats it as a
+	// no-op, non-terminal transition.
 	Dispatched
 	Done
 	Failed

@@ -201,9 +201,13 @@ type job struct {
 	id        string
 	client    string
 	req       JobRequest
+	reqJSON   []byte       // req as its accept record carries it, encoded once
 	plan      *faults.Plan // resolved fault plan (nil: none)
 	timeout   time.Duration
 	submitted time.Time
+	// journaled is closed once the job's accept append has returned (at
+	// once for a job restored from the journal); a dedupe hit waits on it.
+	journaled chan struct{}
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -218,10 +222,10 @@ type job struct {
 	done      chan struct{} // closed when the state turns terminal
 }
 
-func newJob(id, client string, req JobRequest, plan *faults.Plan, timeout time.Duration, now time.Time) *job {
+func newJob(id string, req JobRequest, reqJSON []byte, plan *faults.Plan, timeout time.Duration, now time.Time) *job {
 	j := &job{
-		id: id, client: client, req: req, plan: plan,
-		timeout: timeout, submitted: now,
+		id: id, client: req.Client, req: req, reqJSON: reqJSON, plan: plan,
+		timeout: timeout, submitted: now, journaled: make(chan struct{}),
 		state: StateQueued, done: make(chan struct{}),
 	}
 	j.cond = sync.NewCond(&j.mu)
@@ -230,7 +234,8 @@ func newJob(id, client string, req JobRequest, plan *faults.Plan, timeout time.D
 
 // Write appends rendered output; the job is handed to Suite.Render as
 // its io.Writer, so bytes become visible to streaming readers exactly
-// as the render produces them.
+// as the render produces them. Once the job is terminal its output is
+// frozen, which is what lets its journal records alias j.out.
 func (j *job) Write(p []byte) (int, error) {
 	j.mu.Lock()
 	if j.state.terminal() {

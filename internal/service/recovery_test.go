@@ -13,6 +13,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -648,5 +649,299 @@ func TestCompactionKeepsAcknowledgedAccepts(t *testing.T) {
 	if len(lost) > 0 {
 		t.Fatalf("%d of %d acknowledged accepts were missing from disk at some append, across %d compactions",
 			len(lost), len(acked), compactions)
+	}
+}
+
+// TestCancelBeforeRunIsJournaled: a job a worker has popped but that is
+// cancelled before execute takes its lock finishes as cancelled through
+// the journal, so the next boot neither re-enqueues nor runs it.
+func TestCancelBeforeRunIsJournaled(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	defer close(release)
+	c, s, shutdown := journalServer(t, dir, Config{Workers: 1,
+		gate: plugGate(&dispatchLog{}, release, 0)})
+	plug := submitT1(t, c, "plug")
+	waitState(t, c, plug.ID, StateRunning)
+	st := submitT1(t, c, "alice")
+	s.mu.Lock()
+	j := s.jobs[st.ID]
+	s.mu.Unlock()
+	// What the worker's pop does, then a cancel that lands before execute.
+	if !s.sched.remove(j) {
+		t.Fatalf("job %s is not queued", st.ID)
+	}
+	j.mu.Lock()
+	j.cancelled = true
+	j.mu.Unlock()
+	s.execute(j)
+	if got := j.status(); got.State != StateCancelled {
+		t.Fatalf("job state after execute = %s, want cancelled", got.State)
+	}
+	shutdown()
+
+	c2, _, _ := journalServer(t, dir, Config{Workers: 1})
+	got := waitState(t, c2, st.ID, StateDone, StateFailed, StateCancelled)
+	if got.State != StateCancelled {
+		t.Fatalf("after restart job %s is %s (%d bytes), want cancelled", st.ID, got.State, got.Bytes)
+	}
+}
+
+// dedupedCount reads the server's deduped-submit counter.
+func dedupedCount(s *Server) uint64 {
+	s.met.mu.Lock()
+	defer s.met.mu.Unlock()
+	return s.met.jobs["deduped"]
+}
+
+// TestDedupeHitWaitsForAcceptAppend: a submit that hits the dedupe map is
+// answered only after the original job's accept append has returned, so
+// an id a dedupe hit acknowledges is on disk. The journal's before hook
+// holds the first append (the first job's accept; the gate keeps the job
+// from finishing) while the duplicate arrives.
+func TestDedupeHitWaitsForAcceptAppend(t *testing.T) {
+	hold := func(ctx context.Context, j *job) { <-ctx.Done() }
+	c, s, _ := journalServer(t, t.TempDir(), Config{Workers: 1, gate: hold})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	s.cfg.Journal.SetHooks(func([]byte) error {
+		first.Do(func() {
+			close(entered)
+			<-release
+		})
+		return nil
+	}, nil)
+
+	ctx := context.Background()
+	req := JobRequest{Experiment: "t1", Client: "alice", DedupeKey: "k-1"}
+	type answer struct {
+		st  JobStatus
+		err error
+	}
+	submit := func() chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			st, err := c.Submit(ctx, req)
+			ch <- answer{st, err}
+		}()
+		return ch
+	}
+	orig := submit()
+	<-entered
+	dup := submit()
+	for deadline := time.Now().Add(10 * time.Second); dedupedCount(s) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the duplicate submit never reached the dedupe check")
+		}
+	}
+	select {
+	case a := <-dup:
+		close(release)
+		t.Fatalf("dedupe hit answered (%s, %v) before the original's accept append returned", a.st.ID, a.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	a1, a2 := <-orig, <-dup
+	if a1.err != nil || a2.err != nil {
+		t.Fatalf("submits: %v, %v", a1.err, a2.err)
+	}
+	if a2.st.ID != a1.st.ID {
+		t.Fatalf("dedupe hit returned %s, want %s", a2.st.ID, a1.st.ID)
+	}
+}
+
+// TestDedupeNeverAcknowledgesShedJob: with the queue full, concurrent
+// submits sharing a dedupe key are all shed. None may be answered with
+// the id of a job that admission then rejects (that id would 404).
+func TestDedupeNeverAcknowledgesShedJob(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	c, _ := testServer(t, Config{Workers: 1, QueueDepth: 1, gate: plugGate(&dispatchLog{}, release, 0)})
+	plug := submitT1(t, c, "plug")
+	waitState(t, c, plug.ID, StateRunning)
+	submitT1(t, c, "fill") // the queue is now full
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for i := 0; i < 300; i++ {
+		req := JobRequest{Experiment: "t1", Client: "alice", DedupeKey: fmt.Sprintf("k-%d", i)}
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st, err := c.Submit(ctx, req)
+				var se *StatusError
+				if err == nil {
+					_, serr := c.Status(ctx, st.ID)
+					t.Errorf("submit with a full queue acknowledged %s (status: %v)", st.ID, serr)
+				} else if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
+					t.Errorf("submit with a full queue: %v, want 429", err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// journaled is the part of a job's status its journal records keep:
+// a job that was not terminal comes back queued and unstarted, output
+// survives only for done jobs, and times keep millisecond resolution.
+func journaled(st JobStatus) JobStatus {
+	ms := func(t time.Time) time.Time { return time.UnixMilli(t.UnixMilli()) }
+	if !st.State.terminal() {
+		st.State = StateQueued
+	}
+	if st.State != StateDone {
+		st.Bytes = 0
+	}
+	st.Seq, st.StartedAt = 0, nil
+	st.SubmittedAt = ms(st.SubmittedAt)
+	if st.FinishedAt != nil {
+		fin := ms(*st.FinishedAt)
+		st.FinishedAt = &fin
+	}
+	return st
+}
+
+// snapshot lists a server's jobs through the journaled projection,
+// with each done job's output and the dedupe map.
+func snapshot(t *testing.T, c *Client, s *Server) ([]JobStatus, map[string][]byte, map[string]string) {
+	t.Helper()
+	ctx := context.Background()
+	list, err := c.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := map[string][]byte{}
+	for i, st := range list {
+		list[i] = journaled(st)
+		if st.State == StateDone {
+			if outs[st.ID], err = c.Result(ctx, st.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return list, outs, maps.Clone(s.dedupe)
+}
+
+// TestJournalMappingRoundTrip: the compaction snapshot of a server
+// holding done, failed, cancelled, running and queued jobs (some with
+// dedupe keys) folds and rebuilds into a fresh server with the same job
+// list, the same output bytes and the same dedupe map; and folding the
+// uncompacted history gives the same state as folding the snapshot.
+func TestJournalMappingRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	// "hold" jobs run until cancelled; "late" ones until their deadline.
+	gate := func(ctx context.Context, j *job) {
+		if j.client != "alice" {
+			<-ctx.Done()
+		}
+	}
+	c, s, _ := journalServer(t, dir, Config{Workers: 1, gate: gate})
+	submit := func(client, key string, timeoutMS int64) JobStatus {
+		t.Helper()
+		st, err := c.Submit(ctx, JobRequest{Experiment: "t1", Client: client,
+			DedupeKey: key, TimeoutMS: timeoutMS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	waitState(t, c, submit("alice", "", 0).ID, StateDone)
+	waitState(t, c, submit("alice", "k-done", 0).ID, StateDone)
+	waitState(t, c, submit("late", "k-failed", 1).ID, StateFailed)
+	waitState(t, c, submit("hold", "k-running", 0).ID, StateRunning)
+	submit("hold", "k-queued", 0)
+	cancelled := submit("hold", "", 0)
+	if _, err := c.Cancel(ctx, cancelled.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, cancelled.ID, StateCancelled)
+	wantList, wantOut, wantDedupe := snapshot(t, c, s)
+
+	live := s.liveRecords()
+	var compacted, history replay
+	for _, r := range live {
+		compacted.apply(r)
+	}
+	if _, err := journal.Replay(dir, history.apply); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(history, compacted) {
+		t.Errorf("folding the history and folding its compaction differ:\n%+v\n%+v", history, compacted)
+	}
+
+	dir2 := t.TempDir()
+	jl, err := journal.Open(dir2, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range live {
+		if err := jl.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.Close()
+	hold := func(ctx context.Context, j *job) { <-ctx.Done() }
+	c2, s2, _ := journalServer(t, dir2, Config{Workers: 1, gate: hold})
+	gotList, gotOut, gotDedupe := snapshot(t, c2, s2)
+	if !reflect.DeepEqual(gotList, wantList) {
+		t.Errorf("rebuilt job list differs:\n got %+v\nwant %+v", gotList, wantList)
+	}
+	if !reflect.DeepEqual(gotOut, wantOut) {
+		t.Errorf("rebuilt outputs differ: %d jobs vs %d", len(gotOut), len(wantOut))
+	}
+	if !maps.Equal(gotDedupe, wantDedupe) {
+		t.Errorf("rebuilt dedupe map %v, want %v", gotDedupe, wantDedupe)
+	}
+}
+
+// TestClientRetriesTransient503: a 503 is retried for a GET and for a
+// submit that carries a dedupe key, and not for a plain submit, whose
+// lost response may hide a created job.
+func TestClientRetriesTransient503(t *testing.T) {
+	for code, want := range map[int]bool{429: true, 502: true, 503: true, 504: true,
+		400: false, 404: false, 409: false, 500: false} {
+		if retriableStatus(code) != want {
+			t.Errorf("retriableStatus(%d) = %v, want %v", code, !want, want)
+		}
+	}
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			writeError(w, http.StatusServiceUnavailable, "restarting (injected)")
+			return
+		}
+		writeJSON(w, http.StatusOK, JobStatus{ID: "j000001"})
+	}))
+	defer srv.Close()
+	ctx := context.Background()
+	c := &Client{BaseURL: srv.URL, MaxRetries: 2,
+		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
+		rng: func() float64 { return 1 }}
+	for _, tc := range []struct {
+		name  string
+		call  func() error
+		retry bool
+	}{
+		{"GET", func() error { _, err := c.Status(ctx, "j000001"); return err }, true},
+		{"keyed submit", func() error {
+			_, err := c.Submit(ctx, JobRequest{Experiment: "t1", DedupeKey: "k-1"})
+			return err
+		}, true},
+		{"plain submit", func() error { _, err := c.Submit(ctx, JobRequest{Experiment: "t1"}); return err }, false},
+	} {
+		calls.Store(0)
+		err := tc.call()
+		var se *StatusError
+		switch {
+		case tc.retry && (err != nil || calls.Load() != 2):
+			t.Errorf("%s: %d attempts, err %v; want a retry that succeeds", tc.name, calls.Load(), err)
+		case !tc.retry && (!errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || calls.Load() != 1):
+			t.Errorf("%s: %d attempts, err %v; want one attempt failing with 503", tc.name, calls.Load(), err)
+		}
 	}
 }

@@ -67,9 +67,10 @@ type Config struct {
 	// process-wide cache). The flashabacus facade passes its shared one.
 	Images *cluster.ImageCache
 	// Journal, when set, makes job lifecycle durable: every accept and
-	// terminal transition (with the result bytes for done jobs) is
-	// appended to the journal, and New replays it — completed
-	// jobs stay queryable with their journaled output, jobs that were
+	// every terminal transition (with the result bytes for done jobs) is
+	// appended to the journal through recordsOf, and New folds it back
+	// with the same mapping — completed and cancelled jobs stay as they
+	// ended, done ones with their journaled output, and jobs that were
 	// accepted or running at crash time are re-enqueued. The caller owns
 	// the journal's lifetime and closes it after Close returns.
 	Journal *journal.Journal
@@ -140,10 +141,12 @@ type Server struct {
 	mu      sync.Mutex
 	nextID  int64
 	nextSeq int64
-	jobs    map[string]*job
-	order   []string          // job ids, submission order, for retention
-	dedupe  map[string]string // dedupe key -> job id, for retained jobs
-	closed  bool
+	// jobs and order hold the same ids (the admitted, retained jobs), and
+	// every dedupe value is one of them.
+	jobs   map[string]*job
+	order  []string          // job ids, submission order, for retention
+	dedupe map[string]string // dedupe key -> job id
+	closed bool
 
 	// Journal write breaker: journalFailureBudget consecutive append
 	// failures degrade the daemon to memory-only (visible in /metrics)
@@ -245,20 +248,8 @@ func (s *Server) finish(j *job, state JobState, errMsg string, now time.Time) bo
 		return false
 	}
 	s.met.jobEvent(string(state))
-	rec := journal.Record{ID: j.id, Client: j.client, Key: j.req.DedupeKey,
-		Error: errMsg, UnixMilli: now.UnixMilli()}
-	switch state {
-	case StateDone:
-		rec.Kind = journal.Done
-		j.mu.Lock()
-		rec.Output = append([]byte(nil), j.out...)
-		j.mu.Unlock()
-	case StateFailed:
-		rec.Kind = journal.Failed
-	default:
-		rec.Kind = journal.Cancelled
-	}
-	s.journalAppend(rec)
+	recs := recordsOf(j)
+	s.journalAppend(recs[len(recs)-1])
 	s.maybeCompact(false)
 	return true
 }
@@ -312,174 +303,6 @@ func (s *Server) maybeCompact(force bool) {
 	// base segment. Lock order: journal, then s.mu.
 	if err := jl.Compact(s.liveRecords); err != nil {
 		log.Printf("abacusd: journal compaction failed: %v", err)
-	}
-}
-
-// liveRecords is the journal snapshot of the retained jobs: each one's
-// accept, plus its final record once it is terminal.
-func (s *Server) liveRecords() []journal.Record {
-	var live []journal.Record
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j == nil {
-			continue
-		}
-		reqBytes, err := json.Marshal(j.req)
-		if err != nil {
-			continue
-		}
-		j.mu.Lock()
-		state, errMsg := j.state, j.errMsg
-		out := append([]byte(nil), j.out...)
-		submitted, finished := j.submitted, j.finished
-		j.mu.Unlock()
-		live = append(live, journal.Record{Kind: journal.Accepted, ID: id, Client: j.client,
-			Key: j.req.DedupeKey, Request: reqBytes, UnixMilli: submitted.UnixMilli()})
-		var kind journal.Kind
-		switch state {
-		case StateDone:
-			kind = journal.Done
-		case StateFailed:
-			kind = journal.Failed
-		case StateCancelled:
-			kind = journal.Cancelled
-		default:
-			continue // queued or running: the accept alone re-enqueues it
-		}
-		rec := journal.Record{Kind: kind, ID: id, Client: j.client, Key: j.req.DedupeKey,
-			Error: errMsg, UnixMilli: finished.UnixMilli()}
-		if kind == journal.Done {
-			rec.Output = out
-		}
-		live = append(live, rec)
-	}
-	return live
-}
-
-// recoverFromJournal rebuilds job state from the journal at boot:
-// terminal jobs are restored queryable with their journaled output and
-// error, and jobs that were accepted or running at crash time are
-// re-enqueued (bypassing the admission bound — they were already
-// admitted once). Replay is truncation-tolerant: a torn final record is
-// simply the crash point.
-func (s *Server) recoverFromJournal() {
-	jl := s.cfg.Journal
-	if jl == nil {
-		return
-	}
-	type replayedJob struct {
-		request   []byte
-		client    string
-		key       string
-		state     JobState // "" while non-terminal
-		errMsg    string
-		out       []byte
-		submitted int64
-		finished  int64
-	}
-	terminalOf := func(k journal.Kind) (JobState, bool) {
-		switch k {
-		case journal.Done:
-			return StateDone, true
-		case journal.Failed:
-			return StateFailed, true
-		case journal.Cancelled:
-			return StateCancelled, true
-		}
-		return "", false
-	}
-	byID := map[string]*replayedJob{}
-	var order []string
-	// A fast job can reach its terminal append before the submit handler
-	// journals the accept; park such records until the accept arrives.
-	orphans := map[string]journal.Record{}
-	rs, err := journal.Replay(jl.Dir(), func(r journal.Record) error {
-		switch r.Kind {
-		case journal.Accepted:
-			if _, dup := byID[r.ID]; dup {
-				return nil // duplicate accept: first wins
-			}
-			e := &replayedJob{request: r.Request, client: r.Client, key: r.Key, submitted: r.UnixMilli}
-			byID[r.ID] = e
-			order = append(order, r.ID)
-			if t, ok := orphans[r.ID]; ok {
-				delete(orphans, r.ID)
-				st, _ := terminalOf(t.Kind)
-				e.state, e.errMsg, e.out, e.finished = st, t.Error, t.Output, t.UnixMilli
-			}
-		case journal.Dispatched:
-			// Written only by older versions, and non-terminal: a
-			// dispatched-but-unfinished job re-enqueues like a queued one.
-		default:
-			st, ok := terminalOf(r.Kind)
-			if !ok {
-				return nil // unknown kind from a future version: skip
-			}
-			e := byID[r.ID]
-			if e == nil {
-				orphans[r.ID] = r
-				return nil
-			}
-			if e.state == "" { // exactly-one-terminal: first wins
-				e.state, e.errMsg, e.out, e.finished = st, r.Error, r.Output, r.UnixMilli
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		log.Printf("abacusd: journal replay failed, starting empty: %v", err)
-		return
-	}
-	s.met.replayedRecords(rs.Records)
-
-	now := time.Now()
-	requeued := 0
-	s.mu.Lock()
-	for _, id := range order {
-		e := byID[id]
-		var req JobRequest
-		if err := json.Unmarshal(e.request, &req); err != nil {
-			continue
-		}
-		plan, err := req.Normalize()
-		if err != nil {
-			continue
-		}
-		if req.Client == "" {
-			req.Client = e.client
-		}
-		var n int64
-		if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n > s.nextID {
-			s.nextID = n // ids stay unique across restarts
-		}
-		j := newJob(id, req.Client, req, plan, s.timeoutFor(&req), now)
-		if e.submitted > 0 {
-			j.submitted = time.UnixMilli(e.submitted)
-		}
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		if e.key != "" {
-			s.dedupe[e.key] = id
-		}
-		if e.state != "" {
-			j.out = append(j.out, e.out...)
-			fin := now
-			if e.finished > 0 {
-				fin = time.UnixMilli(e.finished)
-			}
-			j.finalize(e.state, e.errMsg, fin)
-			continue
-		}
-		s.sched.force(j)
-		requeued++
-	}
-	s.retainLocked()
-	s.mu.Unlock()
-	s.met.recoveredJobs(requeued)
-	if rs.Records > 0 {
-		s.maybeCompact(true)
 	}
 }
 
@@ -573,35 +396,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Client = client
 	timeout := s.timeoutFor(req)
+	// Encoded once, for the accept record and every compaction after it;
+	// a JobRequest holds only strings, integers and a bool, so Marshal
+	// cannot fail.
+	reqJSON, _ := json.Marshal(req)
 
-	// Dedupe check and job creation share one critical section, so two
-	// concurrent submits with the same key cannot both create a job.
+	// The dedupe check, job creation and admission share one critical
+	// section: two concurrent submits with the same key cannot both create
+	// a job, and no submit can see a job the queue has not admitted.
 	s.mu.Lock()
-	if req.DedupeKey != "" {
-		if id, ok := s.dedupe[req.DedupeKey]; ok {
-			if dup := s.jobs[id]; dup != nil {
-				s.mu.Unlock()
-				s.met.jobEvent("deduped")
-				w.Header().Set("Location", "/v1/jobs/"+id)
-				writeJSON(w, http.StatusOK, dup.status())
-				return
-			}
-			delete(s.dedupe, req.DedupeKey) // job aged out of retention
+	if id, ok := s.dedupe[req.DedupeKey]; ok {
+		dup := s.jobs[id]
+		s.mu.Unlock()
+		s.met.jobEvent("deduped")
+		// Answer only once the original's accept append has returned, so a
+		// dedupe hit never acknowledges an id a crash could still lose.
+		select {
+		case <-dup.journaled:
+		case <-r.Context().Done():
+			return
 		}
+		w.Header().Set("Location", "/v1/jobs/"+id)
+		writeJSON(w, http.StatusOK, dup.status())
+		return
 	}
 	s.nextID++
-	id := fmt.Sprintf("j%06d", s.nextID)
-	j := newJob(id, client, *req, plan, timeout, time.Now())
-	s.jobs[id] = j
-	if req.DedupeKey != "" {
-		s.dedupe[req.DedupeKey] = id
-	}
-	s.order = append(s.order, id)
-	s.retainLocked()
-	s.mu.Unlock()
-
+	j := newJob(fmt.Sprintf("j%06d", s.nextID), *req, reqJSON, plan, timeout, time.Now())
 	if err := s.sched.submit(j); err != nil {
-		s.dropJob(id)
+		s.mu.Unlock()
 		switch {
 		case errors.Is(err, ErrQueueFull):
 			s.met.jobEvent("shed")
@@ -613,15 +435,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	s.jobs[j.id] = j
+	if req.DedupeKey != "" {
+		s.dedupe[req.DedupeKey] = j.id
+	}
+	s.order = append(s.order, j.id)
+	s.retainLocked()
+	s.mu.Unlock()
 	s.met.jobEvent("accepted")
 	// Journaled only once admission succeeded: a shed job must not be
 	// resurrected at the next boot. The worker may already be running
 	// the job; replay tolerates its records landing first.
-	if reqBytes, err := json.Marshal(*req); err == nil {
-		s.journalAppend(journal.Record{Kind: journal.Accepted, ID: id, Client: client,
-			Key: req.DedupeKey, Request: reqBytes, UnixMilli: j.submitted.UnixMilli()})
-	}
-	w.Header().Set("Location", "/v1/jobs/"+id)
+	s.journalAppend(recordsOf(j)[0])
+	close(j.journaled)
+	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
@@ -635,43 +462,22 @@ func (s *Server) retainLocked() {
 	kept := s.order[:0]
 	excess := len(s.order) - s.cfg.RetainJobs
 	for _, id := range s.order {
-		if excess > 0 {
-			if j := s.jobs[id]; j != nil {
-				j.mu.Lock()
-				terminal := j.state.terminal()
-				j.mu.Unlock()
-				if terminal {
-					delete(s.jobs, id)
-					if k := j.req.DedupeKey; k != "" && s.dedupe[k] == id {
-						delete(s.dedupe, k)
-					}
-					excess--
-					continue
+		if j := s.jobs[id]; excess > 0 {
+			j.mu.Lock()
+			terminal := j.state.terminal()
+			j.mu.Unlock()
+			if terminal {
+				delete(s.jobs, id)
+				if k := j.req.DedupeKey; k != "" && s.dedupe[k] == id {
+					delete(s.dedupe, k)
 				}
+				excess--
+				continue
 			}
 		}
 		kept = append(kept, id)
 	}
 	s.order = kept
-}
-
-// dropJob removes a job that never entered the queue (shed or rejected
-// at admission), so it does not linger as a phantom queued job.
-func (s *Server) dropJob(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j := s.jobs[id]; j != nil {
-		if k := j.req.DedupeKey; k != "" && s.dedupe[k] == id {
-			delete(s.dedupe, k)
-		}
-	}
-	delete(s.jobs, id)
-	for i, o := range s.order {
-		if o == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
 }
 
 func (s *Server) lookup(r *http.Request) (*job, bool) {
@@ -692,12 +498,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		if j := s.jobs[id]; j != nil {
-			jobs = append(jobs, j)
-		}
+	jobs := make([]*job, 0, len(s.order))
+	for _, id := range s.order {
+		jobs = append(jobs, s.jobs[id])
 	}
 	s.mu.Unlock()
 	out := make([]JobStatus, 0, len(jobs))
@@ -889,9 +692,7 @@ func (s *Server) execute(j *job) {
 	}
 	if j.cancelled {
 		j.mu.Unlock()
-		if j.finalize(StateCancelled, "cancelled by client", time.Now()) {
-			s.met.jobEvent("cancelled")
-		}
+		s.finish(j, StateCancelled, "cancelled by client", time.Now())
 		return
 	}
 	j.state = StateRunning
